@@ -254,7 +254,7 @@ func BenchmarkProcessBurst10(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := loc.ProcessBurst(0, burst); err != nil {
+		if _, err := loc.ProcessBurstTraced(0, burst, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

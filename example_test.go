@@ -58,7 +58,7 @@ func ExampleLocalizer_processBurst() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	report, err := loc.ProcessBurst(0, burst)
+	report, err := loc.ProcessBurstTraced(0, burst, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

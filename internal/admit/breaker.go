@@ -296,7 +296,7 @@ func (b *BreakerSet) Failure(ap int, kind FailureKind) {
 		}
 	case StateHalfOpen:
 		if kind != FailDrift {
-			br.cooldown = minDuration(2*br.cooldown, b.cfg.MaxCooldown)
+			br.cooldown = min(2*br.cooldown, b.cfg.MaxCooldown)
 			from, to = br.state, StateOpen
 			fired = true
 			b.openLocked(br, now)
@@ -410,11 +410,4 @@ func (b *BreakerSet) transition(ap int, from, to State, kind FailureKind) {
 	if b.cfg.OnTransition != nil {
 		b.cfg.OnTransition(ap, from, to, kind)
 	}
-}
-
-func minDuration(a, b time.Duration) time.Duration {
-	if a < b {
-		return a
-	}
-	return b
 }

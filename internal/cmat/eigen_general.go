@@ -207,7 +207,7 @@ func qrStep(h *Matrix, hi int, mu complex128) {
 	// RQ: columns i, i+1 ← columns · G.
 	for i := 0; i < hi; i++ {
 		c, s := gs[i].c, gs[i].s
-		last := minInt(hi, i+1)
+		last := min(hi, i+1)
 		for r := 0; r <= last; r++ {
 			hri := h.data[r*n+i]
 			hri1 := h.data[r*n+i+1]
@@ -218,20 +218,6 @@ func qrStep(h *Matrix, hi int, mu complex128) {
 	for i := 0; i <= hi; i++ {
 		h.data[i*n+i] += mu
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // inverseIteration recovers a unit eigenvector for eigenvalue lam by

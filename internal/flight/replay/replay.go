@@ -15,6 +15,7 @@ import (
 	"math"
 	"reflect"
 	"sort"
+	"strings"
 	"time"
 
 	"spotfi"
@@ -307,16 +308,5 @@ func replayOne(idx int, fr flight.FixRecord, ladder []*spotfi.Localizer, byHash 
 	if !modeOK {
 		why = append(why, fmt.Sprintf("mode %q != recorded %q", loc.Mode, fr.Mode))
 	}
-	return diverge("diverged: %s", joinReasons(why))
-}
-
-func joinReasons(rs []string) string {
-	s := ""
-	for i, r := range rs {
-		if i > 0 {
-			s += "; "
-		}
-		s += r
-	}
-	return s
+	return diverge("diverged: %s", strings.Join(why, "; "))
 }

@@ -344,8 +344,11 @@ func (r *Registry) dropSeriesLocked() {
 // lookup get-or-creates the (family, series) pair, enforcing that a name is
 // only ever used with one metric type (and, for histograms, one bucket
 // layout). Misuse is a programming error and panics, like redeclaring a
-// variable would fail to compile.
-func (r *Registry) lookup(name, help, typ string, labels Labels, buckets []float64) *series {
+// variable would fail to compile. fill sets the series' value handle
+// under the registry lock, so a registration racing a scrape (a per-AP
+// gauge appearing as an AP connects) never hands Snapshot a half-built
+// series.
+func (r *Registry) lookup(name, help, typ string, labels Labels, buckets []float64, fill func(*series)) *series {
 	if name == "" {
 		panic("obs: empty metric name")
 	}
@@ -378,38 +381,39 @@ func (r *Registry) lookup(name, help, typ string, labels Labels, buckets []float
 		// thousands of APs degrades scrape coverage, never crashes.
 		if r.seriesLimit > 0 && len(f.series) >= r.seriesLimit {
 			r.dropSeriesLocked()
+			fill(s)
 			return s
 		}
 		f.series[key] = s
 		f.order = append(f.order, key)
 	}
+	fill(s)
 	return s
 }
 
 // Counter returns the counter for name+labels, registering it on first use.
 func (r *Registry) Counter(name, help string, labels Labels) *Counter {
-	s := r.lookup(name, help, TypeCounter, labels, nil)
-	if s.counter == nil {
-		s.counter = &Counter{}
-	}
-	return s.counter
+	return r.lookup(name, help, TypeCounter, labels, nil, func(s *series) {
+		if s.counter == nil {
+			s.counter = &Counter{}
+		}
+	}).counter
 }
 
 // Gauge returns the gauge for name+labels, registering it on first use.
 func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
-	s := r.lookup(name, help, TypeGauge, labels, nil)
-	if s.gauge == nil {
-		s.gauge = &Gauge{}
-	}
-	return s.gauge
+	return r.lookup(name, help, TypeGauge, labels, nil, func(s *series) {
+		if s.gauge == nil {
+			s.gauge = &Gauge{}
+		}
+	}).gauge
 }
 
 // GaugeFunc registers a gauge whose value is read by calling fn at scrape
 // time — for values already maintained elsewhere (e.g. a map size under
 // someone else's lock). fn must be safe to call from any goroutine.
 func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64) {
-	s := r.lookup(name, help, TypeGauge, labels, nil)
-	s.gaugeFn = fn
+	r.lookup(name, help, TypeGauge, labels, nil, func(s *series) { s.gaugeFn = fn })
 }
 
 // Histogram returns the histogram for name+labels, registering it on first
@@ -419,11 +423,11 @@ func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64
 // buckets were silently ignored, which hid per-histogram overrides (e.g. a
 // µs-resolution sojourn histogram) behind whichever call site ran first.
 func (r *Registry) Histogram(name, help string, buckets []float64, labels Labels) *Histogram {
-	s := r.lookup(name, help, TypeHistogram, labels, buckets)
-	if s.hist == nil {
-		s.hist = newHistogram(buckets)
-	}
-	return s.hist
+	return r.lookup(name, help, TypeHistogram, labels, buckets, func(s *series) {
+		if s.hist == nil {
+			s.hist = newHistogram(buckets)
+		}
+	}).hist
 }
 
 // equalBounds reports whether two sorted bucket layouts are identical.

@@ -3,6 +3,7 @@ package obs
 import (
 	"math"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -196,4 +197,28 @@ func TestConcurrentUpdates(t *testing.T) {
 	if got := h.Sum(); math.Abs(got-workers*per*0.001) > 1e-6 {
 		t.Fatalf("histogram sum = %v", got)
 	}
+}
+
+// TestRegistrationRacesScrape registers lazily-labelled series (as a
+// per-AP breaker gauge appears when an AP connects) while another
+// goroutine scrapes; under -race every series handle must be published
+// under the registry lock.
+func TestRegistrationRacesScrape(t *testing.T) {
+	r := NewRegistry()
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			ap := Labels{"ap": strconv.Itoa(i)}
+			r.GaugeFunc("state", "per-AP state", ap, func() float64 { return 1 })
+			r.Counter("fails_total", "per-AP failures", ap).Inc()
+			r.Gauge("depth", "per-AP depth", ap).Set(int64(i))
+			r.Histogram("wait_seconds", "per-AP wait", LatencyBuckets, ap).Observe(0.01)
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		r.Snapshot()
+	}
+	wg.Wait()
 }

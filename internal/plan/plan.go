@@ -13,6 +13,7 @@ import (
 
 	"spotfi/internal/geom"
 	"spotfi/internal/locate"
+	"spotfi/internal/stats"
 )
 
 // AP is a planned access point pose.
@@ -167,17 +168,7 @@ func (cm *CoverageMap) Summary(threshold float64) (coveredFrac, medianErr float6
 	if len(finite) == 0 {
 		return coveredFrac, math.NaN()
 	}
-	// Median via insertion sort (grids are small).
-	for i := 1; i < len(finite); i++ {
-		for j := i; j > 0 && finite[j] < finite[j-1]; j-- {
-			finite[j], finite[j-1] = finite[j-1], finite[j]
-		}
-	}
-	if n := len(finite); n%2 == 1 {
-		medianErr = finite[n/2]
-	} else {
-		medianErr = (finite[n/2-1] + finite[n/2]) / 2
-	}
+	medianErr = stats.Median(finite)
 	return coveredFrac, medianErr
 }
 

@@ -26,6 +26,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sort"
 	"sync"
 	"time"
 
@@ -425,16 +426,11 @@ func (l *Localizer) estimateMUSIC(work *CSIMatrix) ([]PathEstimate, music.Diag, 
 	return me.EstimatePathsDiag(work)
 }
 
-// ProcessBurst runs stages 1–2 on a burst of packets received by one AP
-// from one target: sanitization, per-packet super-resolution (in
-// parallel), clustering, and direct-path selection.
-func (l *Localizer) ProcessBurst(apID int, pkts []*Packet) (*APReport, error) {
-	return l.ProcessBurstTraced(apID, pkts, nil)
-}
-
-// ProcessBurstTraced is ProcessBurst recording stage spans and DSP
-// attributes under parent. A nil parent (tracing disabled or the burst
-// sampled out) adds no allocations to the hot path.
+// ProcessBurstTraced runs stages 1–2 on a burst of packets received by
+// one AP from one target — sanitization, per-packet super-resolution (in
+// parallel), clustering, and direct-path selection — recording stage
+// spans and DSP attributes under parent. A nil parent (tracing disabled
+// or the burst sampled out) adds no allocations to the hot path.
 //
 // The burst runs in three stages: prep (clone, calibrate, sanitize — once,
 // shared by every estimation attempt), estimate (per-packet
@@ -727,13 +723,9 @@ type Location struct {
 	Mode string
 }
 
-// Locate fuses per-AP reports into a location estimate (stage 3, Eq. 9).
-func (l *Localizer) Locate(reports []*APReport) (Point, error) {
-	return l.LocateTraced(reports, nil)
-}
-
-// LocateTraced is Locate recording a solver span (iterations, objective,
-// solution) under parent. A nil parent is free.
+// LocateTraced fuses per-AP reports into a location estimate (stage 3,
+// Eq. 9), recording a solver span (iterations, objective, solution) under
+// parent. A nil parent is free.
 func (l *Localizer) LocateTraced(reports []*APReport, parent *trace.Span) (Point, error) {
 	res, err := l.locateFull(reports, parent)
 	return res.Location, err
@@ -828,7 +820,7 @@ func (l *Localizer) LocalizeBurstsTraced(bursts map[int][]*Packet, tr *trace.Tra
 	for id := range bursts {
 		ids = append(ids, id)
 	}
-	sortInts(ids)
+	sort.Ints(ids)
 	var reports []*APReport
 	var skipped []SkippedAP
 	for _, id := range ids {
@@ -861,14 +853,6 @@ func (l *Localizer) LocalizeBurstsTraced(bursts map[int][]*Packet, tr *trace.Tra
 		Quality:    sc.Breakdown,
 		Mode:       l.cfg.ModeLabel,
 	}, reports, skipped, nil
-}
-
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }
 
 // GroundTruthAoA returns the AoA that AP would observe for a target at p —

@@ -46,7 +46,7 @@ func TestLocateRejectsUnknownAPReport(t *testing.T) {
 		{APID: 0, AoA: 0, Likelihood: 1, MeanRSSIdBm: -50},
 		{APID: 99, AoA: 0, Likelihood: 1, MeanRSSIdBm: -50},
 	}
-	if _, err := loc.Locate(reports); err == nil {
+	if _, err := loc.LocateTraced(reports, nil); err == nil {
 		t.Fatal("unknown AP in report accepted")
 	}
 }
@@ -111,7 +111,7 @@ func TestProcessBurstPartialFailures(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		burst[i].CSI.Values[1][1] = complex(math.Inf(1), 0)
 	}
-	rep, err := loc.ProcessBurst(0, burst)
+	rep, err := loc.ProcessBurstTraced(0, burst, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestProcessBurstAllFailures(t *testing.T) {
 	for _, p := range burst {
 		p.CSI.Values[0][0] = complex(math.NaN(), 0)
 	}
-	if _, err := loc.ProcessBurst(0, burst); err == nil {
+	if _, err := loc.ProcessBurstTraced(0, burst, nil); err == nil {
 		t.Fatal("all-corrupt burst accepted")
 	}
 }
@@ -155,7 +155,7 @@ func TestSelectionSchemesDiffer(t *testing.T) {
 	results := map[SelectionScheme]*APReport{}
 	for _, scheme := range []SelectionScheme{SelectLikelihood, SelectMinToF, SelectMaxPower} {
 		_, loc := officeLocalizer(t, func(c *Config) { c.Selection = scheme })
-		rep, err := loc.ProcessBurst(0, burst)
+		rep, err := loc.ProcessBurstTraced(0, burst, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +197,7 @@ func TestSanitizeDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := loc.ProcessBurst(0, burst); err != nil {
+	if _, err := loc.ProcessBurstTraced(0, burst, nil); err != nil {
 		t.Fatalf("unsanitized pipeline failed: %v", err)
 	}
 }
@@ -258,7 +258,7 @@ func TestPipelineCalibration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := loc.ProcessBurst(0, burst)
+		rep, err := loc.ProcessBurstTraced(0, burst, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,27 +1,28 @@
-package spotfi
+package spotfi_test
 
 import (
 	"context"
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"spotfi"
 	"spotfi/internal/admit"
 	"spotfi/internal/apnode"
 	"spotfi/internal/chaos"
 	"spotfi/internal/csi"
+	"spotfi/internal/feed"
 	"spotfi/internal/flight"
 	"spotfi/internal/obs"
-	"spotfi/internal/obs/quality"
-	"spotfi/internal/obs/trace"
 	"spotfi/internal/server"
+	"spotfi/internal/service"
 	"spotfi/internal/sim"
 	"spotfi/internal/testbed"
 )
@@ -60,9 +61,10 @@ func (s *phasedSource) Next() (*csi.Packet, error) {
 	return s.calmSrc.Next()
 }
 
-// TestOverloadSoak floods the full deployed path — AP agents → wire →
-// server → collector → admission queue → degraded-mode localization — at
-// far above worker capacity, with one AP phase-skewed the whole flood.
+// TestOverloadSoak floods the serving graph spotfi-server runs
+// (internal/service) — AP agents → wire → server → collector → admission
+// queue → degraded-mode localization → fix feed — at far above worker
+// capacity, with one AP phase-skewed the whole flood.
 // The overload-resilience layer must hold the line on every axis at once:
 //
 //   - admission control sheds (capacity eviction, hard deadline, CoDel)
@@ -81,18 +83,10 @@ func TestOverloadSoak(t *testing.T) {
 	}
 	d := testbed.Office(42)
 	const (
-		batch       = 6
-		skewedAP    = 0
-		floodTgts   = 6 // concurrent targets during the flood
-		calmTgt     = 4 // the one target of the recovery phase
-		workers     = 2
-		queueCap    = 32
-		admitTarget = 60 * time.Millisecond
-		deadline    = 600 * time.Millisecond
+		skewedAP  = 0
+		floodTgts = 6 // concurrent targets during the flood
+		calmTgt   = 4 // the one target of the recovery phase
 	)
-
-	reg := obs.NewRegistry()
-	base := DefaultConfig(d.Bounds)
 
 	// Flight recorder armed for the whole soak: the skewed AP's breaker
 	// opening must freeze a bundle mid-flood, and the drain dump at the
@@ -103,177 +97,65 @@ func TestOverloadSoak(t *testing.T) {
 	if bundleDir == "" {
 		bundleDir = t.TempDir()
 	}
-	specs := make([]flight.APSpec, len(d.APs))
-	for i, ap := range d.APs {
-		specs[i] = flight.APSpec{ID: ap.ID, X: ap.Pos.X, Y: ap.Pos.Y, NormalRad: ap.NormalAngle}
-	}
+	cfg := service.DefaultConfig()
+	cfg.Pipeline = spotfi.DefaultConfig(d.Bounds)
+	cfg.APs = spotfi.DeploymentAPs(d)
+	cfg.Listen = "127.0.0.1:0"
+	cfg.Logger = spotfi.NewTestLogger(t)
+	cfg.Workers = 2
+	cfg.Collector = server.CollectorConfig{BatchSize: 6, MinAPs: 3, MaxBuffered: 64, BurstTTL: 500 * time.Millisecond}
+	// The deadline is a sojourn-histogram bucket bound, so the histogram
+	// can prove that no delivered burst outlived it.
+	cfg.Queue = admit.QueueConfig{Capacity: 32, Target: 60 * time.Millisecond, Deadline: 500 * time.Millisecond, Interval: 250 * time.Millisecond}
+	// UnhealthyBelow sits far under the healthy fleet's occasional
+	// single-burst dips (~0.15 of bursts score 0.1–0.3 even on clean APs),
+	// so the phase-skewed AP's collapsed scores are what trip its breaker.
+	// (Its NaN packets never reach the server: the agent drops reports it
+	// cannot encode.)
+	cfg.Breaker = admit.BreakerConfig{Window: 10 * time.Second, Failures: 6, Cooldown: 1500 * time.Millisecond, Probes: 2, UnhealthyBelow: 0.05}
 	// Small rings and a long cooldown: a dump serializes every ring, and
 	// on a starved CI core repeated mid-flood dumps would steal the CPU
 	// the breaker's probation needs. One breaker-open bundle is the
-	// assertion; the drain bundle carries the replayable end state.
-	rec, err := flight.New(flight.Config{
-		Dir:         bundleDir,
-		FramesPerAP: 128,
-		Cooldown:    30 * time.Second,
-		MaxBundles:  4,
-		Registry:    reg,
-		Server: flight.ServerConfig{
-			Bounds: [4]float64{d.Bounds.MinX, d.Bounds.MinY, d.Bounds.MaxX, d.Bounds.MaxY},
-			APs:    specs,
-			Batch:  batch,
-			MinAPs: 3,
-			Modes:  3,
-			Seed:   base.Seed,
-		},
-	})
+	// assertion; the drain bundle carries the replayable end state. No
+	// earlier dump may start a cooldown that swallows the breaker-open
+	// one: the low-confidence trigger is off, and the SLO tracker first
+	// samples (and so first burns, on the flood's shed rate) a minute in,
+	// after the waits below have seen the breaker open.
+	cfg.Flight.Dir = bundleDir
+	cfg.Flight.FramesPerAP = 128
+	cfg.Flight.MaxBundles = 4
+	cfg.FlightConfidenceFloor = 0
+	cfg.SLO.Tick = time.Minute
+	svc, err := service.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := svc.Registry
 
-	// UnhealthyBelow sits far under the healthy fleet's occasional
-	// single-burst dips (~0.15 of bursts score 0.1–0.3 even on clean APs):
-	// the sick AP's trip signal in this soak is its non-finite CSI, which
-	// fires deterministically on the ingest path.
-	breakers := admit.NewBreakerSet(reg, admit.BreakerConfig{
-		Window:         10 * time.Second,
-		Failures:       6,
-		Cooldown:       1500 * time.Millisecond,
-		Probes:         2,
-		UnhealthyBelow: 0.05,
-		OnTransition: func(ap int, from, to admit.State, kind admit.FailureKind) {
-			rec.Note(flight.EventBreaker, ap, "", from.String()+"→"+to.String()+" ("+string(kind)+")", 0)
-			if to == admit.StateOpen {
-				rec.Trigger(flight.TriggerBreakerOpen, fmt.Sprintf("AP %d breaker opened (%s)", ap, string(kind)))
-			}
-		},
-	})
-	monitor := quality.NewMonitor(reg, quality.Config{
-		OnBurst: func(sc quality.Score) {
-			for _, ap := range sc.PerAP {
-				breakers.ObserveScore(ap.APID, ap.Score)
-			}
-		},
-		OnDriftBreach: func(apID, breached int) {
-			if breached >= 2 {
-				breakers.Failure(apID, admit.FailDrift)
-			}
-		},
-	})
-	base.Metrics = NewPipelineMetrics(reg)
-	base.QualityMonitor = monitor
-	// The same three-rung ladder spotfi-server builds — and the one replay
-	// reconstructs from the bundle manifest.
-	locs, err := BuildLadder(base, deploymentAPs(d), 3)
+	// Every fix the service publishes, as a /debug/fixes client sees it.
+	sub, err := svc.Feed.Subscribe()
 	if err != nil {
 		t.Fatal(err)
-	}
-
-	var shedByReason [4]atomic.Uint64
-	reasonIdx := map[admit.ShedReason]int{
-		admit.ShedFull: 0, admit.ShedStale: 1, admit.ShedCoDel: 2, admit.ShedDrain: 3,
-	}
-	adq := admit.NewQueue(admit.QueueConfig{
-		Capacity: queueCap,
-		Target:   admitTarget,
-		Deadline: deadline,
-		Interval: 250 * time.Millisecond,
-		Metrics:  admit.NewQueueMetrics(reg),
-		OnShed: func(_ admit.Item, r admit.ShedReason) {
-			shedByReason[reasonIdx[r]].Add(1)
-		},
-	})
-	ladder := admit.NewLadder(reg, admit.LadderConfig{
-		MaxMode:     admit.ModeCoarse,
-		StepDownAt:  []time.Duration{2 * admitTarget, 6 * admitTarget},
-		StepUpBelow: admitTarget / 2,
-		HoldGood:    4,
-	})
-
-	type job struct {
-		mac    string
-		bursts map[int][]*csi.Packet
-	}
-
-	// The worker loop mirrors spotfi-server's: pop through the admission
-	// policy, step the ladder on the observed sojourn, re-filter APs whose
-	// breaker opened while the burst sat queued, localize on the rung's
-	// localizer.
-	type fix struct {
-		mac string
-		loc Location
 	}
 	var (
-		fixMu       sync.Mutex
-		fixes       []fix
-		sojourns    []time.Duration
-		maxModeSeen atomic.Int64
+		fixMu sync.Mutex
+		fixes []feed.Fix
 	)
-	var pool sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		pool.Add(1)
-		go func() {
-			defer pool.Done()
-			for {
-				it, sojourn, ok := adq.Pop()
-				if !ok {
-					return
-				}
-				mode := ladder.Observe(sojourn)
-				if int64(mode) > maxModeSeen.Load() {
-					maxModeSeen.Store(int64(mode))
-				}
-				j := it.Payload.(job)
-				for ap := range j.bursts {
-					if !breakers.Allow(ap) {
-						delete(j.bursts, ap)
-					}
-				}
-				if len(j.bursts) < 2 {
-					continue
-				}
-				p, _, _, err := locs[mode].LocalizeBursts(j.bursts)
-				fixMu.Lock()
-				sojourns = append(sojourns, sojourn)
-				if err == nil {
-					fixes = append(fixes, fix{mac: j.mac, loc: p})
-				}
-				fixMu.Unlock()
-				if err == nil {
-					rec.RecordFix(j.mac, p.Mode, p.X, p.Y, p.Confidence, j.bursts)
-				}
-			}
-		}()
-	}
+	fixesDone := make(chan struct{})
+	go func() {
+		defer close(fixesDone)
+		for fx := range sub.Fixes() {
+			fixMu.Lock()
+			fixes = append(fixes, fx)
+			fixMu.Unlock()
+		}
+	}()
 
-	m := server.NewMetrics(reg)
-	collector, err := server.NewCollector(server.CollectorConfig{
-		BatchSize:   batch,
-		MinAPs:      3,
-		MaxBuffered: 64,
-		BurstTTL:    500 * time.Millisecond,
-	}, func(mac string, bursts map[int][]*csi.Packet, tr *trace.Trace) {
-		adq.Push(mac, job{mac: mac, bursts: bursts})
-	})
+	goroutinesBefore := runtime.NumGoroutine()
+	addr, err := svc.Start()
 	if err != nil {
 		t.Fatal(err)
 	}
-	collector.SetMetrics(m)
-	collector.SetQuarantine(breakers.Allow)
-	collector.SetTap(rec.TapPacket)
-	stopSweeper := collector.StartSweeper(100 * time.Millisecond)
-	defer stopSweeper()
-
-	srv, err := server.New(collector, testLogger(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.SetMetrics(m)
-	srv.SetEventSink(breakers)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
@@ -289,8 +171,13 @@ func TestOverloadSoak(t *testing.T) {
 		}
 		t.Fatalf("timed out waiting for %s", what)
 	}
-
-	goroutinesBefore := runtime.NumGoroutine()
+	skewedState := func() admit.State {
+		return admit.State(gauge(reg, "spotfi_ap_breaker_state", fmt.Sprintf("ap=\"%d\"", skewedAP)))
+	}
+	mode := func() admit.Mode { return admit.Mode(gauge(reg, "spotfi_admit_mode", "")) }
+	sheds := func(r admit.ShedReason) uint64 {
+		return reg.Counter("spotfi_admit_shed_total", "", obs.Labels{"reason": string(r)}).Value()
+	}
 
 	// One long-lived connection per AP for the whole soak: the flood is a
 	// traffic regime, not a reconnect storm, so breaker churn accounting
@@ -361,16 +248,16 @@ func TestOverloadSoak(t *testing.T) {
 		return len(fixes)
 	}
 	waitFor("admission control shedding", 30*time.Second, func() bool {
-		return adq.ShedTotal() > 0
+		return shedTotal(reg) > 0
 	})
 	waitFor("ladder stepping down", 30*time.Second, func() bool {
-		return maxModeSeen.Load() >= int64(admit.ModeFastPath)
+		return mode() >= admit.ModeFastPath
 	})
 	waitFor("skewed AP breaker open", 30*time.Second, func() bool {
-		return breakers.State(skewedAP) == admit.StateOpen
+		return skewedState() == admit.StateOpen
 	})
 	waitFor("flight bundle frozen on breaker open", 30*time.Second, func() bool {
-		return len(rec.Bundles()) > 0
+		return reg.Counter("spotfi_flight_dumps_total", "", obs.Labels{"trigger": string(flight.TriggerBreakerOpen)}).Value() > 0
 	})
 	waitFor("fixes flowing during overload", 30*time.Second, func() bool {
 		return fixCount() > 0
@@ -385,10 +272,10 @@ func TestOverloadSoak(t *testing.T) {
 	// the flood (every half-open probe met another NaN), so allow a full
 	// backoff cycle before the clean probes land.
 	waitFor("breaker closing after probation", 60*time.Second, func() bool {
-		return breakers.State(skewedAP) == admit.StateClosed
+		return skewedState() == admit.StateClosed
 	})
 	waitFor("ladder back to full fidelity", 30*time.Second, func() bool {
-		return ladder.Current() == admit.ModeFull
+		return mode() == admit.ModeFull
 	})
 	waitFor("fixes flowing after recovery", 30*time.Second, func() bool {
 		return fixCount() > floodFixes
@@ -400,9 +287,9 @@ func TestOverloadSoak(t *testing.T) {
 		defer fixMu.Unlock()
 		for i := len(fixes) - 1; i >= 0; i-- {
 			f := fixes[i]
-			if f.mac == testbed.TargetMAC(calmTgt) && f.loc.Mode == admit.ModeFull.String() {
-				if e := f.loc.Point.Dist(d.Targets[calmTgt]); e > 3.5 {
-					t.Fatalf("recovered fix %v is %.2f m from truth %v", f.loc.Point, e, d.Targets[calmTgt])
+			if f.MAC == testbed.TargetMAC(calmTgt) && f.Mode == admit.ModeFull.String() {
+				if e := (spotfi.Point{X: f.X, Y: f.Y}).Dist(d.Targets[calmTgt]); e > 3.5 {
+					t.Fatalf("recovered fix (%.2f, %.2f) is %.2f m from truth %v", f.X, f.Y, e, d.Targets[calmTgt])
 				}
 				return true
 			}
@@ -411,62 +298,47 @@ func TestOverloadSoak(t *testing.T) {
 	})
 
 	// --- Drain: stop intake, stop assembly, drain the queue, join the
-	// pool. Nothing may leak. ---
+	// pool, flush the drain bundle CI hands to the replay gate. Nothing
+	// may leak. ---
 	cancel()
 	agents.Wait()
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
+	drained := svc.Drain()
+	<-fixesDone
+	if sub.Dropped() {
+		t.Error("the fix-feed subscriber was dropped; the fix tally is incomplete")
 	}
-	collector.Shutdown()
-	adq.Close()
-	pool.Wait()
-	stopSweeper()
-
-	// The drain dump freezes the full journal and every still-covered fix
-	// before the recorder shuts down — the bundle CI hands to the replay
-	// gate.
-	drainBundle, err := rec.DumpNow(flight.TriggerDrain, "soak drain")
-	if err != nil {
-		t.Fatalf("drain dump: %v", err)
-	}
-	rec.Close()
 
 	// Every delivered burst respected the hard freshness deadline — the
 	// stale-first shed policy means overload manifests as sheds, not as
 	// unbounded queue sojourn.
-	fixMu.Lock()
-	sorted := append([]time.Duration(nil), sojourns...)
-	fixMu.Unlock()
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	if len(sorted) == 0 {
+	sojourn := sojourns(reg)
+	if sojourn.Count() == 0 {
 		t.Fatal("no delivered sojourns recorded")
 	}
-	p99 := sorted[len(sorted)*99/100]
-	if p99 > deadline {
-		t.Fatalf("p99 delivered sojourn %v exceeds the %v freshness deadline", p99, deadline)
+	if within := sojourn.CountAtOrBelow(cfg.Queue.Deadline.Seconds()); within != sojourn.Count() {
+		t.Fatalf("%d of %d delivered sojourns exceed the %v freshness deadline",
+			sojourn.Count()-within, sojourn.Count(), cfg.Queue.Deadline)
 	}
 
 	// Degraded-mode fixes actually happened and carried their mode label.
 	degraded := 0
-	fixMu.Lock()
 	for _, f := range fixes {
-		if f.loc.Mode != "" && f.loc.Mode != admit.ModeFull.String() {
+		if f.Mode != admit.ModeFull.String() {
 			degraded++
 		}
 	}
-	total := len(fixes)
-	fixMu.Unlock()
 	if degraded == 0 {
 		t.Error("no fix was produced in a degraded mode despite the ladder stepping down")
 	}
 
 	// The flood pushed well past capacity, so capacity eviction must have
 	// fired (alongside whatever the deadline and CoDel shed).
-	if shedByReason[reasonIdx[admit.ShedFull]].Load() == 0 {
+	if sheds(admit.ShedFull) == 0 {
 		t.Error("no capacity eviction at 5× overload — fair shedding never engaged")
 	}
 
-	// The pool and the agent goroutines are gone; nothing else grew.
+	// The pool, the service's tickers and listener, and the agent
+	// goroutines are gone; nothing else grew.
 	waitFor("goroutines back to baseline", 10*time.Second, func() bool {
 		return runtime.NumGoroutine() <= goroutinesBefore+3
 	})
@@ -474,16 +346,20 @@ func TestOverloadSoak(t *testing.T) {
 	// The flood left a breaker-open bundle behind, and the drain bundle
 	// carries replayable fixes: its frame rings must still cover at least
 	// the most recent fixes, and the frames must read back as SFT1.
+	bundles, err := os.ReadDir(bundleDir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sawBreakerBundle := false
-	for _, b := range rec.Bundles() {
-		if strings.HasSuffix(b.Name, "-"+string(flight.TriggerBreakerOpen)) {
+	for _, b := range bundles {
+		if strings.HasSuffix(b.Name(), "-"+string(flight.TriggerBreakerOpen)) {
 			sawBreakerBundle = true
 		}
 	}
 	if !sawBreakerBundle {
 		t.Error("no breaker-open flight bundle despite the breaker tripping")
 	}
-	loaded, err := flight.LoadBundle(rec.BundlePath(drainBundle))
+	loaded, err := flight.LoadBundle(filepath.Join(bundleDir, drained.Bundle))
 	if err != nil {
 		t.Fatalf("loading drain bundle: %v", err)
 	}
@@ -500,8 +376,31 @@ func TestOverloadSoak(t *testing.T) {
 		t.Error("drain bundle recorded fixes but none is frame-covered — rings evicted everything")
 	}
 
-	t.Logf("soak: %d fixes (%d degraded), p99 sojourn %v, sheds full=%d stale=%d codel=%d drain=%d, max mode %v, breaker trips=%v",
-		total, degraded, p99,
-		shedByReason[0].Load(), shedByReason[1].Load(), shedByReason[2].Load(), shedByReason[3].Load(),
-		admit.Mode(maxModeSeen.Load()), breakers.Snapshot())
+	t.Logf("soak: %d fixes (%d degraded), %d delivered sojourns, sheds full=%v stale=%v codel=%v drain=%v, drained %+v",
+		len(fixes), degraded, sojourn.Count(),
+		sheds(admit.ShedFull), sheds(admit.ShedStale), sheds(admit.ShedCoDel), sheds(admit.ShedDrain), drained)
+}
+
+// gauge reads the gauge name{labels} off reg's snapshot, where labels
+// is the rendered label set (`ap="0"`, "" for none); absent reads 0.
+func gauge(reg *obs.Registry, name, labels string) float64 {
+	for _, s := range reg.Snapshot() {
+		if s.Name == name && s.Labels == labels {
+			return s.Value
+		}
+	}
+	return 0
+}
+
+// shedTotal sums spotfi_admit_shed_total over every reason.
+func shedTotal(reg *obs.Registry) (n uint64) {
+	for _, r := range admit.ShedReasons() {
+		n += reg.Counter("spotfi_admit_shed_total", "", obs.Labels{"reason": string(r)}).Value()
+	}
+	return n
+}
+
+// sojourns is the admission queue's delivered-sojourn histogram.
+func sojourns(reg *obs.Registry) *obs.Histogram {
+	return reg.Histogram("spotfi_admit_queue_sojourn_seconds", "", obs.LatencyBuckets, nil)
 }

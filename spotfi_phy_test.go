@@ -11,6 +11,7 @@ import (
 	"spotfi/internal/rf"
 	"spotfi/internal/sanitize"
 	"spotfi/internal/sim"
+	"spotfi/internal/stats"
 )
 
 // TestPHYDerivedCSIThroughPipeline is the strongest substrate validation:
@@ -97,8 +98,8 @@ func TestPHYDerivedCSIThroughPipeline(t *testing.T) {
 	if len(aoaErrs) < packets/2 {
 		t.Fatalf("only %d/%d packets resolved both paths", len(aoaErrs), packets)
 	}
-	medAoA := median(aoaErrs)
-	medGap := median(gapErrs)
+	medAoA := stats.Median(aoaErrs)
+	medGap := stats.Median(gapErrs)
 	t.Logf("PHY-derived: direct AoA error %.1f°, relative-ToF error %.1f ns (true gap %.1f ns)",
 		geom.Deg(medAoA), medGap*1e9, trueGap*1e9)
 	if geom.Deg(medAoA) > 4 {
@@ -110,17 +111,4 @@ func TestPHYDerivedCSIThroughPipeline(t *testing.T) {
 	if medGap > 10e-9 {
 		t.Fatalf("relative ToF error %.1f ns through PHY chain", medGap*1e9)
 	}
-}
-
-func median(xs []float64) float64 {
-	s := append([]float64(nil), xs...)
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-	if len(s)%2 == 1 {
-		return s[len(s)/2]
-	}
-	return (s[len(s)/2-1] + s[len(s)/2]) / 2
 }

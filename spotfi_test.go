@@ -88,7 +88,7 @@ func TestEndToEndAoAEstimation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep, err := loc.ProcessBurst(a, burst)
+			rep, err := loc.ProcessBurstTraced(a, burst, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -138,10 +138,10 @@ func TestProcessBurstErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := loc.ProcessBurst(99, nil); err == nil {
+	if _, err := loc.ProcessBurstTraced(99, nil, nil); err == nil {
 		t.Fatal("unknown AP accepted")
 	}
-	if _, err := loc.ProcessBurst(0, nil); err == nil {
+	if _, err := loc.ProcessBurstTraced(0, nil, nil); err == nil {
 		t.Fatal("empty burst accepted")
 	}
 }
