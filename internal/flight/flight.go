@@ -2,8 +2,8 @@
 // allocation-disciplined capture of recent raw CSI frames per AP plus a
 // decision journal (sheds, mode transitions, breaker flips, quarantines,
 // per-fix confidence). It records continuously for free and, on an anomaly
-// trigger — breaker open, SLO burn start, shed-floor breach, panic
-// quarantine, low-confidence fix, manual request, graceful drain — freezes
+// trigger — breaker open, SLO burn start, panic quarantine,
+// low-confidence fix, manual request, graceful drain — freezes
 // everything into an atomic, schema-versioned bundle on disk. Bundles are
 // self-contained: frames in SFT1 format (so the spotfi-trace tools work on
 // them unchanged), the journal, fix records with per-packet content
@@ -47,8 +47,6 @@ const (
 	TriggerBreakerOpen TriggerKind = "breaker-open"
 	// TriggerSLOBurn: an SLO objective started burning on both windows.
 	TriggerSLOBurn TriggerKind = "slo-burn"
-	// TriggerShedFloor: admission shed rate crossed the readiness floor.
-	TriggerShedFloor TriggerKind = "shed-floor"
 	// TriggerPanic: a burst handler panicked and was quarantined.
 	TriggerPanic TriggerKind = "panic"
 	// TriggerLowConfidence: a fix scored below the confidence floor.
@@ -62,8 +60,8 @@ const (
 // TriggerKinds returns every trigger kind, in taxonomy order.
 func TriggerKinds() []TriggerKind {
 	return []TriggerKind{
-		TriggerBreakerOpen, TriggerSLOBurn, TriggerShedFloor,
-		TriggerPanic, TriggerLowConfidence, TriggerManual, TriggerDrain,
+		TriggerBreakerOpen, TriggerSLOBurn, TriggerPanic,
+		TriggerLowConfidence, TriggerManual, TriggerDrain,
 	}
 }
 

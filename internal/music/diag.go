@@ -19,15 +19,15 @@ type Diag struct {
 	// fragile.
 	EigenGapDB float64
 	// GridTheta and GridTau are the MUSIC search-grid extents (zero for
-	// the search-free JADE path).
+	// the search-free ESPRIT path).
 	GridTheta, GridTau int
 	// Peaks is the number of spectrum peaks found before truncation to
 	// the signal dimension.
 	Peaks int
 	// CellsSwept is the number of (θ, τ) grid cells the sweep actually
 	// evaluated — the coarse-to-fine search's cost counter. Equal to
-	// GridTheta·GridTau for a dense sweep; zero for search-free paths
-	// (JADE, ESPRIT).
+	// GridTheta·GridTau for a dense sweep; zero for the search-free
+	// ESPRIT path.
 	CellsSwept int
 	// DenseFallback reports that the coarse-to-fine sweep distrusted its
 	// windows (a strong candidate peak touched a window border) and fell

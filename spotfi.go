@@ -78,24 +78,25 @@ type AP struct {
 	NormalAngle float64
 }
 
-// EstimatorKind selects the stage-1 super-resolution algorithm.
+// EstimatorKind labels the stage-1 estimator that produced an AP report.
+// It is the "estimator" attribute on AP and estimate spans.
 type EstimatorKind int
 
 // Estimator kinds.
 const (
-	// EstimatorMUSIC is the paper's 2-D grid MUSIC (default).
+	// EstimatorMUSIC is the paper's 2-D grid MUSIC.
 	EstimatorMUSIC EstimatorKind = iota
-	// EstimatorJADE is the search-free shift-invariance joint estimator —
-	// ~100× faster per packet, slightly less robust in deep multipath.
-	EstimatorJADE
+	// EstimatorESPRIT is the search-free AoA estimator the fast path
+	// tries first (FastPathConfig).
+	EstimatorESPRIT
 )
 
 func (k EstimatorKind) String() string {
 	switch k {
 	case EstimatorMUSIC:
 		return "music"
-	case EstimatorJADE:
-		return "jade"
+	case EstimatorESPRIT:
+		return "esprit"
 	default:
 		return "unknown"
 	}
@@ -137,8 +138,6 @@ type Config struct {
 	Locate locate.Config
 	// Selection picks the direct-path rule (default SpotFi likelihood).
 	Selection SelectionScheme
-	// Estimator picks the stage-1 algorithm (default grid MUSIC).
-	Estimator EstimatorKind
 	// Sanitize toggles Algorithm 1 (default on; off only for ablation).
 	Sanitize bool
 	// Workers bounds pipeline parallelism; 0 means GOMAXPROCS.
@@ -327,7 +326,6 @@ type Localizer struct {
 	cfg    Config
 	pool   sync.Pool // of *music.Estimator, all built from cfg.Music
 	esprit *music.ESPRIT
-	jade   *music.JADE
 	aps    map[int]AP
 }
 
@@ -340,15 +338,8 @@ func New(cfg Config, aps []AP) (*Localizer, error) {
 	if err != nil {
 		return nil, err
 	}
-	var jade *music.JADE
-	if cfg.Estimator == EstimatorJADE {
-		jade, err = music.NewJADE(cfg.Music)
-		if err != nil {
-			return nil, err
-		}
-	}
 	var esprit *music.ESPRIT
-	if cfg.FastPath.Enabled && jade == nil {
+	if cfg.FastPath.Enabled {
 		if cfg.FastPath.MinEigenGapDB == 0 {
 			cfg.FastPath.MinEigenGapDB = defaultFastPathMinEigenGapDB
 		}
@@ -392,7 +383,7 @@ func New(cfg Config, aps []AP) (*Localizer, error) {
 		// the time.Now calls.
 		cfg.Metrics = &PipelineMetrics{}
 	}
-	l := &Localizer{cfg: cfg, esprit: esprit, jade: jade, aps: m}
+	l := &Localizer{cfg: cfg, esprit: esprit, aps: m}
 	l.pool.New = func() any {
 		e, err := music.NewEstimator(l.cfg.Music)
 		if err != nil {
@@ -458,9 +449,9 @@ func (l *Localizer) ProcessBurstTraced(apID int, pkts []*Packet, parent *trace.S
 	works, prepErrs, stoNs := l.prepBurst(apID, pkts, apSpan)
 
 	if l.esprit != nil {
-		rep, err := l.estimateAndCluster(apID, pkts, works, prepErrs, stoNs, rssiSum, apSpan, estimatorESPRITKind)
+		rep, err := l.estimateAndCluster(apID, pkts, works, prepErrs, stoNs, rssiSum, apSpan, EstimatorESPRIT)
 		if err == nil && rep.EigenGapDB >= l.cfg.FastPath.MinEigenGapDB && rep.Margin >= l.cfg.FastPath.MinMargin {
-			apSpan.SetStr("estimator", estimatorESPRITKind)
+			apSpan.SetStr("estimator", EstimatorESPRIT.String())
 			apSpan.SetInt("fast_path", 1)
 			l.cfg.Metrics.FastPathAccepted.Inc()
 			l.cfg.Metrics.BurstsProcessed.Inc()
@@ -469,12 +460,8 @@ func (l *Localizer) ProcessBurstTraced(apID int, pkts []*Packet, parent *trace.S
 		l.cfg.Metrics.FastPathFallbacks.Inc()
 	}
 
-	kind := EstimatorMUSIC.String()
-	if l.jade != nil {
-		kind = EstimatorJADE.String()
-	}
-	apSpan.SetStr("estimator", kind)
-	rep, err := l.estimateAndCluster(apID, pkts, works, prepErrs, stoNs, rssiSum, apSpan, kind)
+	apSpan.SetStr("estimator", EstimatorMUSIC.String())
+	rep, err := l.estimateAndCluster(apID, pkts, works, prepErrs, stoNs, rssiSum, apSpan, EstimatorMUSIC)
 	if err != nil {
 		l.cfg.Metrics.BurstFailures.Inc()
 		return nil, err
@@ -482,10 +469,6 @@ func (l *Localizer) ProcessBurstTraced(apID int, pkts []*Packet, parent *trace.S
 	l.cfg.Metrics.BurstsProcessed.Inc()
 	return rep, nil
 }
-
-// estimatorESPRITKind labels the fast-path estimator in spans; the MUSIC
-// and JADE labels come from EstimatorKind.String.
-const estimatorESPRITKind = "esprit"
 
 // prepBurst runs the per-packet preparation stage — clone, per-AP
 // calibration, Algorithm 1 sanitization — in parallel. It returns the
@@ -537,10 +520,10 @@ func (l *Localizer) prepBurst(apID int, pkts []*Packet, apSpan *trace.Span) ([]*
 }
 
 // estimateAndCluster runs stages 1–2 over already-prepped packets with the
-// named estimator and assembles the APReport. It increments the per-packet
+// given estimator and assembles the APReport. It increments the per-packet
 // counters (each estimation pass is real work) but leaves the burst
 // counters to the caller, which knows whether this pass's result was kept.
-func (l *Localizer) estimateAndCluster(apID int, pkts []*Packet, works []*CSIMatrix, prepErrs []error, stoNs []float64, rssiSum float64, apSpan *trace.Span, kind string) (*APReport, error) {
+func (l *Localizer) estimateAndCluster(apID int, pkts []*Packet, works []*CSIMatrix, prepErrs []error, stoNs []float64, rssiSum float64, apSpan *trace.Span, kind EstimatorKind) (*APReport, error) {
 	perPacket := make([][]PathEstimate, len(pkts))
 	errs := make([]error, len(pkts))
 	copy(errs, prepErrs)
@@ -568,17 +551,14 @@ func (l *Localizer) estimateAndCluster(apID int, pkts []*Packet, works []*CSIMat
 			var est []PathEstimate
 			var diag music.Diag
 			var err error
-			switch kind {
-			case estimatorESPRITKind:
+			if kind == EstimatorESPRIT {
 				est, diag, err = l.esprit.EstimatePathsDiag(work)
-			case "jade":
-				est, diag, err = l.jade.EstimatePathsDiag(work)
-			default:
+			} else {
 				est, diag, err = l.estimateMUSIC(work)
 			}
 			l.cfg.Metrics.EstimateSeconds.ObserveSince(start)
 			esp.SetInt("pkt", int64(i))
-			esp.SetStr("estimator", kind)
+			esp.SetStr("estimator", kind.String())
 			esp.SetInt("eigen_sweeps", int64(diag.EigenSweeps))
 			esp.SetInt("signal_dim", int64(diag.SignalDim))
 			esp.SetFloat("eigen_gap_db", diag.EigenGapDB)

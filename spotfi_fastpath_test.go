@@ -7,6 +7,7 @@ import (
 
 	"spotfi/internal/csi"
 	"spotfi/internal/obs"
+	"spotfi/internal/obs/trace"
 	"spotfi/internal/testbed"
 )
 
@@ -37,7 +38,10 @@ func officeBursts(t *testing.T, d *testbed.Deployment, target, packets int) map[
 // TestFastPathCountersPartition checks that with the ESPRIT fast path
 // enabled, every burst either lands in the accepted counter or the
 // fallback counter — never both, never neither — and that the pipeline
-// still produces a usable location.
+// still produces a usable location. The AP spans' "estimator" labels must
+// partition the same way: perfbench's verifier picks the reports it
+// re-derives bit for bit by the MUSIC label, so a drifted label would
+// leave it checking nothing.
 func TestFastPathCountersPartition(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pipeline run")
@@ -52,8 +56,13 @@ func TestFastPathCountersPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bursts := officeBursts(t, d, 0, 6)
-	p, reports, skipped, err := loc.LocalizeBursts(bursts)
+	// Target 8 splits its six APs between both estimators, so each label
+	// is exercised.
+	bursts := officeBursts(t, d, 8, 6)
+	tracer := trace.New(trace.Config{SampleEvery: 1})
+	tr := tracer.Start(trace.StageBurst)
+	p, reports, skipped, err := loc.LocalizeBurstsTraced(bursts, tr)
+	tr.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,8 +80,34 @@ func TestFastPathCountersPartition(t *testing.T) {
 	if acc+fb != uint64(len(bursts)) {
 		t.Fatalf("accepted(%d)+fallback(%d) != bursts(%d)", acc, fb, len(bursts))
 	}
+	if acc == 0 || fb == 0 {
+		t.Fatalf("accepted %d, fallbacks %d: want both estimators to serve some AP", acc, fb)
+	}
 	if got := cfg.Metrics.BurstsProcessed.Value(); got != uint64(len(bursts)) {
 		t.Fatalf("BurstsProcessed = %d, want %d", got, len(bursts))
+	}
+
+	recent := tracer.Recent()
+	if len(recent) != 1 {
+		t.Fatalf("got %d traces, want 1", len(recent))
+	}
+	labels := make(map[string]uint64)
+	for _, sd := range recent[0].Spans {
+		if sd.Name == trace.StageAP {
+			est, _ := sd.Attrs["estimator"].(string)
+			labels[est]++
+		}
+	}
+	if EstimatorMUSIC.String() != "music" || EstimatorESPRIT.String() != "esprit" {
+		t.Fatalf("estimator labels %q/%q changed; span attributes must stay music/esprit",
+			EstimatorMUSIC, EstimatorESPRIT)
+	}
+	want := map[string]uint64{
+		EstimatorESPRIT.String(): acc,
+		EstimatorMUSIC.String():  fb,
+	}
+	if !reflect.DeepEqual(labels, want) {
+		t.Fatalf("AP span estimator labels = %v, want %v", labels, want)
 	}
 }
 
