@@ -274,82 +274,3 @@ func (n Normalization) DenormY(y float64) float64 {
 	}
 	return n.MinY + y*n.ScaleY
 }
-
-// Silhouette returns the mean silhouette coefficient of a clustering over
-// pts: for each point, (b−a)/max(a,b) where a is its mean distance to its
-// own cluster and b the smallest mean distance to another cluster. Values
-// near 1 mean tight, well-separated clusters. Singleton clusters
-// contribute 0.
-func Silhouette(pts []Point, clusters []Cluster) float64 {
-	if len(clusters) < 2 {
-		return 0
-	}
-	var total float64
-	var count int
-	for ci, cl := range clusters {
-		for _, i := range cl.Members {
-			if len(cl.Members) < 2 {
-				count++
-				continue // singleton: silhouette defined as 0
-			}
-			var a float64
-			for _, j := range cl.Members {
-				if i != j {
-					a += dist(pts[i], pts[j])
-				}
-			}
-			a /= float64(len(cl.Members) - 1)
-			b := math.Inf(1)
-			for cj, other := range clusters {
-				if cj == ci || len(other.Members) == 0 {
-					continue
-				}
-				var d float64
-				for _, j := range other.Members {
-					d += dist(pts[i], pts[j])
-				}
-				d /= float64(len(other.Members))
-				if d < b {
-					b = d
-				}
-			}
-			if m := math.Max(a, b); m > 0 {
-				total += (b - a) / m
-			}
-			count++
-		}
-	}
-	if count == 0 {
-		return 0
-	}
-	return total / float64(count)
-}
-
-func dist(a, b Point) float64 {
-	return math.Hypot(a.X-b.X, a.Y-b.Y)
-}
-
-// KMeansAuto clusters pts trying every K in [minK, maxK] and returns the
-// clustering with the highest silhouette score (ties break toward fewer
-// clusters). It inherits cfg's iteration and restart budget.
-func KMeansAuto(pts []Point, cfg Config, minK, maxK int, rng *rand.Rand) ([]Cluster, int, error) {
-	if minK < 2 || maxK < minK {
-		return nil, 0, fmt.Errorf("cluster: auto-K range [%d,%d] invalid (need 2 ≤ min ≤ max)", minK, maxK)
-	}
-	var best []Cluster
-	bestK := 0
-	bestScore := math.Inf(-1)
-	for k := minK; k <= maxK; k++ {
-		c := cfg
-		c.K = k
-		clusters, err := KMeans(pts, c, rng)
-		if err != nil {
-			return nil, 0, err
-		}
-		score := Silhouette(pts, clusters)
-		if score > bestScore+1e-12 {
-			best, bestK, bestScore = clusters, k, score
-		}
-	}
-	return best, bestK, nil
-}

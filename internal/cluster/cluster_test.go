@@ -240,68 +240,3 @@ func TestNormalizeErrors(t *testing.T) {
 		t.Fatal("length mismatch accepted")
 	}
 }
-
-func TestSilhouetteSeparatedVsMerged(t *testing.T) {
-	rng := rand.New(rand.NewSource(68))
-	var pts []Point
-	for _, c := range []Point{{0, 0}, {10, 0}, {0, 10}} {
-		pts = append(pts, gaussianBlob(rng, c.X, c.Y, 0.3, 30)...)
-	}
-	good, err := KMeans(pts, Config{K: 3, MaxIters: 50, Restarts: 6}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad, err := KMeans(pts, Config{K: 2, MaxIters: 50, Restarts: 6}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sGood := Silhouette(pts, good)
-	sBad := Silhouette(pts, bad)
-	if sGood <= sBad {
-		t.Fatalf("correct K should score higher: %v vs %v", sGood, sBad)
-	}
-	if sGood < 0.7 {
-		t.Fatalf("well-separated blobs should score near 1, got %v", sGood)
-	}
-}
-
-func TestSilhouetteDegenerate(t *testing.T) {
-	pts := []Point{{0, 0}, {1, 1}}
-	one, err := KMeans(pts, Config{K: 1, MaxIters: 5, Restarts: 1}, rand.New(rand.NewSource(69)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := Silhouette(pts, one); s != 0 {
-		t.Fatalf("single-cluster silhouette = %v, want 0", s)
-	}
-}
-
-func TestKMeansAutoFindsK(t *testing.T) {
-	rng := rand.New(rand.NewSource(70))
-	var pts []Point
-	truth := []Point{{0, 0}, {12, 0}, {0, 12}, {12, 12}}
-	for _, c := range truth {
-		pts = append(pts, gaussianBlob(rng, c.X, c.Y, 0.4, 40)...)
-	}
-	clusters, k, err := KMeansAuto(pts, Config{MaxIters: 50, Restarts: 6}, 2, 8, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k != 4 {
-		t.Fatalf("auto-K picked %d, want 4", k)
-	}
-	if len(clusters) != 4 {
-		t.Fatalf("got %d clusters", len(clusters))
-	}
-}
-
-func TestKMeansAutoErrors(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	pts := []Point{{0, 0}, {1, 1}, {2, 2}}
-	if _, _, err := KMeansAuto(pts, Config{MaxIters: 5, Restarts: 1}, 1, 3, rng); err == nil {
-		t.Fatal("minK=1 accepted")
-	}
-	if _, _, err := KMeansAuto(pts, Config{MaxIters: 5, Restarts: 1}, 4, 2, rng); err == nil {
-		t.Fatal("max<min accepted")
-	}
-}

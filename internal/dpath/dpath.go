@@ -58,10 +58,6 @@ type Config struct {
 	// ToF axis and manufactures a zero-variance "earliest" cluster.
 	// Zero disables the filter.
 	ToFWindowS float64
-	// AutoK selects the cluster count per burst by silhouette score over
-	// [3, Cluster.K] instead of using Cluster.K directly — useful when
-	// the number of significant paths varies across links.
-	AutoK bool
 	// MinClusterFrac is the minimum fraction of packets a cluster must
 	// cover to be a direct-path candidate (floored at 2 points): a
 	// cluster seen in one packet has degenerate zero variance and would
@@ -233,15 +229,9 @@ func Identify(perPacket [][]music.PathEstimate, cfg Config, rng *rand.Rand) (*Re
 	if err != nil {
 		return nil, err
 	}
-	var clusters []cluster.Cluster
-	var err2 error
-	if cfg.AutoK && cfg.Cluster.K > 3 && len(pts) > 3 {
-		clusters, _, err2 = cluster.KMeansAuto(pts, cfg.Cluster, 3, cfg.Cluster.K, rng)
-	} else {
-		clusters, err2 = cluster.KMeans(pts, cfg.Cluster, rng)
-	}
-	if err2 != nil {
-		return nil, err2
+	clusters, err := cluster.KMeans(pts, cfg.Cluster, rng)
+	if err != nil {
+		return nil, err
 	}
 
 	// A constant ToF axis (AoA-only estimates) carries no earliest-path

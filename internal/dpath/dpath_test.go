@@ -207,30 +207,6 @@ func TestEmptyResultSelectors(t *testing.T) {
 	}
 }
 
-func TestIdentifyAutoK(t *testing.T) {
-	rng := rand.New(rand.NewSource(79))
-	obs, truth := synthObservations(rng, 30)
-	cfg := DefaultConfig()
-	cfg.AutoK = true
-	cfg.Cluster.K = 7
-	res, err := Identify(obs, cfg, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Three synthetic paths: auto-K should find roughly that many
-	// candidates (eligibility filtering may drop weak ones).
-	if len(res.Candidates) < 2 || len(res.Candidates) > 5 {
-		t.Fatalf("auto-K produced %d candidates", len(res.Candidates))
-	}
-	best, ok := res.Best()
-	if !ok {
-		t.Fatal("no best candidate")
-	}
-	if geom.Deg(math.Abs(best.AoA-truth)) > 3 {
-		t.Fatalf("auto-K selection error %.1f°", geom.Deg(math.Abs(best.AoA-truth)))
-	}
-}
-
 func TestMargin(t *testing.T) {
 	cases := []struct {
 		name string

@@ -29,8 +29,6 @@ type RunConfig struct {
 	DebugURL string
 	// Scene is the synthetic deployment to drive.
 	Scene *Scene
-	// Encoder holds the pre-encoded frames; built from Scene when nil.
-	Encoder *Encoder
 	// Phases is the offered-load schedule.
 	Phases []Phase
 	// SendBuffer is the per-AP job queue depth (default 128). A full
@@ -139,12 +137,9 @@ func Run(ctx context.Context, cfg RunConfig) (*Result, error) {
 	if len(cfg.Phases) == 0 {
 		return nil, fmt.Errorf("loadgen: empty phase schedule")
 	}
-	enc := cfg.Encoder
-	if enc == nil {
-		var err error
-		if enc, err = NewEncoder(cfg.Scene); err != nil {
-			return nil, err
-		}
+	enc, err := NewEncoder(cfg.Scene)
+	if err != nil {
+		return nil, err
 	}
 	scene := cfg.Scene
 

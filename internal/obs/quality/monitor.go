@@ -26,8 +26,6 @@ const defaultRecent = 512
 type Config struct {
 	// Score holds the confidence-score scales and weights.
 	Score ScoreConfig
-	// Drift holds the per-AP drift-detection parameters.
-	Drift DriftConfig
 	// Floor is the SLO threshold: bursts scoring below it increment
 	// spotfi_quality_low_total. 0 selects DefaultFloor; negative disables
 	// the low counter.
@@ -84,7 +82,7 @@ func NewMonitor(reg *obs.Registry, cfg Config) *Monitor {
 		cfg:    cfg,
 		reg:    reg,
 		now:    time.Now,
-		drift:  newDriftDetector(cfg.Drift),
+		drift:  newDriftDetector(DriftConfig{}),
 		ring:   make([]BurstRecord, 0, cfg.Recent),
 		gauges: make(map[int]bool),
 	}

@@ -82,10 +82,6 @@ type Config struct {
 	Registry *obs.Registry
 	// Logger, when non-nil, receives a structured record per slow trace.
 	Logger *slog.Logger
-	// ExtraSpans pre-registers histograms for additional span names beyond
-	// PipelineStages (span names without a pre-registered histogram are
-	// still traced, just not exported to /metrics).
-	ExtraSpans []string
 }
 
 // Tracer samples bursts and collects their completed traces. A nil Tracer
@@ -135,7 +131,7 @@ func New(cfg Config) *Tracer {
 		t.finished = r.Counter("spotfi_traces_finished_total", "Traces completed and collected.", nil)
 		t.slowCount = r.Counter("spotfi_traces_slow_total", "Completed traces at or over the slow threshold.", nil)
 		t.hists = make(map[string]*obs.Histogram)
-		for _, name := range append(PipelineStages(), cfg.ExtraSpans...) {
+		for _, name := range PipelineStages() {
 			t.hists[name] = r.Histogram("spotfi_trace_span_seconds",
 				"Latency of traced pipeline spans, by span name.",
 				obs.LatencyBuckets, obs.Labels{"span": name})

@@ -95,6 +95,8 @@ func (c Config) Validate() error {
 	switch {
 	case len(c.APs) < 2:
 		return errors.New("need at least two -ap flags")
+	case c.Collector.MinAPs < 2 || c.Collector.MinAPs > len(c.APs):
+		return errors.New("-minaps must be between 2 and the number of -ap flags")
 	case c.Workers < 1 || q.Capacity < 1:
 		return errors.New("-workers and -queue must be ≥ 1")
 	case c.IdleTimeout < 0 || c.Collector.BurstTTL < 0:

@@ -45,6 +45,7 @@ func TestValidate(t *testing.T) {
 		want   string
 	}{
 		{"aps", func(c *Config) { c.APs = c.APs[:1] }, "need at least two -ap flags"},
+		{"minaps", func(c *Config) { c.Collector.MinAPs = len(c.APs) + 1 }, "-minaps must be between 2 and the number of -ap flags"},
 		{"workers", func(c *Config) { c.Workers = 0 }, "-workers and -queue must be ≥ 1"},
 		{"idle-timeout", func(c *Config) { c.IdleTimeout = -time.Second }, "-idle-timeout and -burst-ttl must be ≥ 0"},
 		{"trace-sample", func(c *Config) { c.Trace.SampleEvery = -1 }, "-trace-sample must be ≥ 0"},

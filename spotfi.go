@@ -160,8 +160,8 @@ type Config struct {
 	// and the /debug/quality scoreboard (see quality.NewMonitor). Nil
 	// records nothing.
 	QualityMonitor *quality.Monitor
-	// FastPath gates the ESPRIT-first estimation fast path (MUSIC
-	// estimator only). Disabled by default.
+	// FastPath gates the ESPRIT-first estimation fast path. Disabled by
+	// default.
 	FastPath FastPathConfig
 	// ModeLabel names this Localizer's rung on the server's degradation
 	// ladder (e.g. "full", "fastpath", "coarse"). When non-empty it is
@@ -212,7 +212,7 @@ type PipelineMetrics struct {
 	// or estimation errors.
 	PacketsProcessed *obs.Counter
 	PacketFailures   *obs.Counter
-	// BurstsProcessed and BurstFailures count ProcessBurst outcomes.
+	// BurstsProcessed and BurstFailures count ProcessBurstTraced outcomes.
 	BurstsProcessed *obs.Counter
 	BurstFailures   *obs.Counter
 	// APsSkipped counts per-AP bursts LocalizeBursts had to discard.
@@ -592,7 +592,7 @@ func (l *Localizer) estimateAndCluster(apID int, pkts []*Packet, works []*CSIMat
 	}
 
 	// Clustering seed derived from the burst identity, not from a shared
-	// RNG: concurrent ProcessBurst calls would otherwise consume the
+	// RNG: concurrent ProcessBurstTraced calls would otherwise consume the
 	// generator in scheduler order and make results run-dependent.
 	seed := int64(uint64(l.cfg.Seed)^uint64(apID+1)*0x9E3779B97F4A7C15^(pkts[0].Seq+1)*0xBF58476D1CE4E5B9^uint64(len(pkts))) & 0x7FFFFFFFFFFFFFFF
 	csp := apSpan.StartSpan(trace.StageCluster)
