@@ -62,7 +62,6 @@ func main() {
 	targets := flag.Int("targets", 0, "max targets per deployment (0 = all)")
 	repeats := flag.Int("repeats", 1, "independently-seeded deployments to pool per experiment")
 	only := flag.String("only", "", "run a single figure (fig5ab, fig5c, fig7a, fig7b, fig7c, fig8a, fig8b, fig9a, fig9b, planval)")
-	dense := flag.Bool("dense", false, "disable the coarse-to-fine MUSIC sweep (full-grid A/B reference)")
 	svgDir := flag.String("svg", "", "also write one SVG figure per experiment into this directory")
 	resultsOut := flag.String("results", "", "also write the raw result series as JSON to this file")
 	jsonOut := flag.Bool("json", false, "write the machine-readable baseline to BENCH_<runid>.json")
@@ -93,7 +92,7 @@ func main() {
 		}
 	}
 
-	opts := experiments.Options{Seed: *seed, Packets: *packets, MaxTargets: *targets, Repeats: *repeats, DenseSweep: *dense}
+	opts := experiments.Options{Seed: *seed, Packets: *packets, MaxTargets: *targets, Repeats: *repeats}
 	if *quick {
 		if opts.Packets == 0 {
 			opts.Packets = 10

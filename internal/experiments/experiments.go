@@ -37,21 +37,6 @@ type Options struct {
 	// independently-seeded deployments (target layouts and channels) to
 	// tighten the reported distributions. 0 or 1 runs one deployment.
 	Repeats int
-	// DenseSweep forces the classic full-grid MUSIC sweep instead of the
-	// default coarse-to-fine refinement — the A/B switch for validating
-	// that the fast sweep does not move the reproduced figures. Not part
-	// of the benchmark baseline identity (see BaselineOpts).
-	DenseSweep bool
-}
-
-// musicParams returns the estimator configuration an experiment should
-// use: the paper defaults, with the sweep strategy selected by DenseSweep.
-func (o Options) musicParams() music.Params {
-	p := music.DefaultParams()
-	if o.DenseSweep {
-		p.CoarseGridFactor = 1
-	}
-	return p
 }
 
 // seeds returns the deployment seeds a repeated run covers.
@@ -190,9 +175,8 @@ func deploymentAPs(d *testbed.Deployment) []spotfi.AP {
 
 // newLocalizer builds a pipeline for deployment d. Workers=1 because the
 // experiment already parallelizes across targets.
-func newLocalizer(d *testbed.Deployment, opts Options, seed int64) (*spotfi.Localizer, error) {
+func newLocalizer(d *testbed.Deployment, seed int64) (*spotfi.Localizer, error) {
 	cfg := spotfi.DefaultConfig(d.Bounds)
-	cfg.Music = opts.musicParams()
 	cfg.Workers = 1
 	cfg.Seed = seed
 	return spotfi.New(cfg, deploymentAPs(d))

@@ -55,7 +55,7 @@ func Fig5Sanitization(opts Options) (*Result, error) {
 	}
 	burst := syn.Burst(testbed.TargetMAC(0), packets)
 
-	est, err := music.NewEstimator(opts.musicParams())
+	est, err := music.NewEstimator(music.DefaultParams())
 	if err != nil {
 		return nil, err
 	}
@@ -121,7 +121,7 @@ func Fig5cClusters(opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	est, err := music.NewEstimator(opts.musicParams())
+	est, err := music.NewEstimator(music.DefaultParams())
 	if err != nil {
 		return nil, err
 	}

@@ -23,7 +23,7 @@ func Fig8aAoA(opts Options) (*Result, error) {
 	// cache) before fanning out; each worker goroutine then builds its own
 	// estimator — a music.Estimator owns mutable sweep arenas and is
 	// single-goroutine.
-	if _, err := music.NewEstimator(opts.musicParams()); err != nil {
+	if _, err := music.NewEstimator(music.DefaultParams()); err != nil {
 		return nil, err
 	}
 	base, err := music.NewAoAEstimator(music.DefaultAoAParams())
@@ -59,7 +59,7 @@ func Fig8aAoA(opts Options) (*Result, error) {
 		go func(i, t int) {
 			sem <- struct{}{}
 			defer func() { <-sem; done <- i }()
-			est, err := music.NewEstimator(opts.musicParams())
+			est, err := music.NewEstimator(music.DefaultParams())
 			if err != nil {
 				return
 			}
@@ -134,7 +134,7 @@ func Fig8aAoA(opts Options) (*Result, error) {
 // oracle rules, all operating on SpotFi's super-resolution estimates.
 func Fig8bSelection(opts Options) (*Result, error) {
 	opts = opts.fill()
-	if _, err := music.NewEstimator(opts.musicParams()); err != nil {
+	if _, err := music.NewEstimator(music.DefaultParams()); err != nil {
 		return nil, err
 	}
 	series := map[string][]float64{}
@@ -150,7 +150,7 @@ func Fig8bSelection(opts Options) (*Result, error) {
 			go func(i, t int) {
 				sem <- struct{}{}
 				defer func() { <-sem; done <- i }()
-				est, err := music.NewEstimator(opts.musicParams())
+				est, err := music.NewEstimator(music.DefaultParams())
 				if err != nil {
 					return
 				}

@@ -17,7 +17,7 @@ func Fig9aDensity(opts Options) (*Result, error) {
 	pooled := make([][]float64, len(ks))
 	for _, seed := range opts.seeds() {
 		d := testbed.Office(seed)
-		loc, err := newLocalizer(d, opts, seed)
+		loc, err := newLocalizer(d, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -62,7 +62,7 @@ func Fig9bPackets(opts Options) (*Result, error) {
 	pooled := make([][]float64, len(counts))
 	for _, seed := range opts.seeds() {
 		d := testbed.Office(seed)
-		loc, err := newLocalizer(d, opts, seed)
+		loc, err := newLocalizer(d, seed)
 		if err != nil {
 			return nil, err
 		}

@@ -18,7 +18,7 @@ import (
 func PlanValidation(opts Options) (*Result, error) {
 	opts = opts.fill()
 	d := testbed.Office(opts.Seed)
-	loc, err := newLocalizer(d, opts, opts.Seed)
+	loc, err := newLocalizer(d, opts.Seed)
 	if err != nil {
 		return nil, err
 	}

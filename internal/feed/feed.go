@@ -1,8 +1,7 @@
 // Package feed fans localization fixes out to streaming subscribers —
 // the server-side hook that makes a fix observable the moment it is
 // produced. spotfi-loadgen subscribes to measure end-to-end packet→fix
-// latency and live accuracy; it is also the seed of the query plane
-// (ROADMAP item 3).
+// latency and live accuracy.
 //
 // The fanout is bounded in both directions: at most MaxSubscribers
 // concurrent streams, each with a fixed-depth buffer. A subscriber that

@@ -24,15 +24,10 @@ type Diag struct {
 	// Peaks is the number of spectrum peaks found before truncation to
 	// the signal dimension.
 	Peaks int
-	// CellsSwept is the number of (θ, τ) grid cells the sweep actually
-	// evaluated — the coarse-to-fine search's cost counter. Equal to
-	// GridTheta·GridTau for a dense sweep; zero for the search-free
-	// ESPRIT path.
+	// CellsSwept is the number of (θ, τ) grid cells the sweep evaluated,
+	// the sweep's work counter: GridTheta·GridTau for MUSIC, zero for the
+	// search-free ESPRIT path.
 	CellsSwept int
-	// DenseFallback reports that the coarse-to-fine sweep distrusted its
-	// windows (a strong candidate peak touched a window border) and fell
-	// back to the dense sweep.
-	DenseFallback bool
 }
 
 // eigenGapDB computes 10·log10(λ[dim−1]/λ[dim]) — the signal/noise

@@ -39,10 +39,10 @@ type Params struct {
 	// returned peaks.
 	MaxPaths int
 
-	// CoarseGridFactor controls the coarse-to-fine sweep: the estimator
-	// first evaluates every CoarseGridFactor-th grid point on both axes,
-	// then densely re-sweeps windows around the surviving coarse maxima.
-	// 1 forces the classic dense sweep; 0 selects the default (4).
+	// CoarseGridFactor multiplies both grid steps: the estimator sweeps
+	// every cell of a grid with CoarseGridFactor× the AoAGridRad and
+	// ToFGridS steps, about CoarseGridFactor² times cheaper. 0 and 1 both
+	// sweep the configured grid.
 	CoarseGridFactor int
 	// DedupeAoARad and DedupeToFS are the physical merge radii for
 	// near-duplicate spectrum peaks: a peak within both radii of a
@@ -52,10 +52,6 @@ type Params struct {
 	DedupeAoARad float64
 	DedupeToFS   float64
 }
-
-// DefaultCoarseGridFactor is the coarse-to-fine decimation used when
-// CoarseGridFactor is 0.
-const DefaultCoarseGridFactor = 4
 
 // DefaultParams returns the estimator configuration matching the paper's
 // prototype: 2×15 smoothing window, 1° AoA grid, 2 ns ToF grid over
@@ -73,7 +69,7 @@ func DefaultParams() Params {
 		ToFMaxS:             200e-9,
 		EigenThreshold:      0.015,
 		MaxPaths:            5,
-		CoarseGridFactor:    DefaultCoarseGridFactor,
+		CoarseGridFactor:    1,
 		DedupeAoARad:        1.5 * math.Pi / 180,
 		DedupeToFS:          3e-9,
 	}
@@ -117,14 +113,14 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// coarseFactor resolves CoarseGridFactor: 0 means the default.
-//
-//spotfi:noalloc
-func (p Params) coarseFactor() int {
-	if p.CoarseGridFactor == 0 {
-		return DefaultCoarseGridFactor
+// sweepGrid returns p with CoarseGridFactor folded into the AoA and ToF
+// grid steps: the grid the estimator actually sweeps.
+func (p Params) sweepGrid() Params {
+	if k := p.CoarseGridFactor; k > 1 {
+		p.AoAGridRad *= float64(k)
+		p.ToFGridS *= float64(k)
 	}
-	return p.CoarseGridFactor
+	return p
 }
 
 // dedupeRadii resolves the peak-merge radii, falling back to 1.5× the grid

@@ -23,13 +23,13 @@ type Spectrum struct {
 // CSI matrices.
 //
 // Concurrency contract: an Estimator owns mutable workspace arenas (the
-// smoothed-CSI matrix, the eigendecomposition scratch, the spectrum and
-// per-column caches), so it is single-goroutine — one goroutine per
-// Estimator at a time. The expensive pure-geometry precomputation (grids
-// and steering powers) lives in a shared read-only steeringTable obtained
-// from the package steering cache, so constructing extra estimators for
-// extra goroutines is cheap; callers that fan out across goroutines should
-// keep a pool of estimators (see the localizer's sync.Pool).
+// smoothed-CSI matrix, the eigendecomposition scratch, the spectrum), so
+// it is single-goroutine — one goroutine per Estimator at a time. The
+// expensive pure-geometry precomputation (grids and steering powers) lives
+// in a shared read-only steeringTable obtained from the package steering
+// cache, so constructing extra estimators for extra goroutines is cheap;
+// callers that fan out across goroutines should keep a pool of estimators
+// (see the localizer's sync.Pool).
 //
 //spotfi:arena
 type Estimator struct {
@@ -39,6 +39,8 @@ type Estimator struct {
 	// thetas and taus alias the shared table's grids (read-only).
 	thetas []float64
 	taus   []float64
+	// rTheta and rTau are the resolved peak-merge radii.
+	rTheta, rTau float64
 
 	// Workspace arenas, reused across calls. Everything below is reset or
 	// overwritten by each estimate; nothing escapes to callers.
@@ -54,62 +56,40 @@ type Estimator struct {
 	// w[k*subAnt+a] = v_k[a-th block]ᴴ·o(τ) for the column being
 	// evaluated.
 	w []complex128
+	// colQ holds the off-diagonal block quadratic forms q_ab(τ_j) of the
+	// column being evaluated, shared by every θ in it.
+	colQ []complex128
 
-	// Per-column sweep cache: the block quadratic forms q_ab(τ_j) shared
-	// by every θ in column j. colDone marks columns already computed for
-	// the current packet, so the refinement windows never recompute a
-	// column the coarse pass touched.
-	colQDiag []float64
-	colQPair []complex128
-	colDone  []bool
-
-	// specP/computed are the (flattened row-major) spectrum arena and its
-	// evaluation mask for the current packet.
-	specP    []float64
-	computed []bool
-	// evalIdx lists the flattened indices of evaluated cells in evaluation
-	// order, so peak finding after a coarse pass visits only those cells
-	// instead of scanning (and mask-testing) the whole grid.
-	evalIdx []int32
-	// denseDone marks that every cell of specP is evaluated.
-	denseDone bool
-	// cells counts evaluated cells for diagnostics.
-	cells int
+	// specP is the spectrum arena, column-major: P(θ_i, τ_j) is
+	// specP[j*len(thetas)+i], so each ToF column is contiguous.
+	specP []float64
 
 	// Peak-finding scratch.
-	scratch   []PathEstimate
-	coarseTop []coarseMax
-	latI      []int
-	latJ      []int
-}
-
-type coarseMax struct {
-	i, j int
-	v    float64
+	scratch []PathEstimate
 }
 
 // NewEstimator validates p and binds the shared precomputed steering
 // table, allocating the estimator-owned workspace arenas.
+// CoarseGridFactor is folded into the table's grid steps here, so every
+// estimator sweeps its whole grid through the same code path.
 func NewEstimator(p Params) (*Estimator, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	tab := lookupSteeringTable(p)
+	g := p.sweepGrid()
+	tab := lookupSteeringTable(g)
 	nt, nu := len(tab.thetas), len(tab.taus)
 	e := &Estimator{
-		p:        p,
-		tab:      tab,
-		thetas:   tab.thetas,
-		taus:     tab.taus,
-		w:        make([]complex128, p.MaxPaths*tab.subAnt),
-		colQDiag: make([]float64, nu),
-		colQPair: make([]complex128, nu*tab.nPair),
-		colDone:  make([]bool, nu),
-		specP:    make([]float64, nt*nu),
-		computed: make([]bool, nt*nu),
-		evalIdx:  make([]int32, 0, nt*nu),
-		scratch:  make([]PathEstimate, 0, 32),
+		p:       p,
+		tab:     tab,
+		thetas:  tab.thetas,
+		taus:    tab.taus,
+		w:       make([]complex128, p.MaxPaths*tab.subAnt),
+		colQ:    make([]complex128, tab.nPair),
+		specP:   make([]float64, nt*nu),
+		scratch: make([]PathEstimate, 0, 32),
 	}
+	e.rTheta, e.rTau = g.dedupeRadii()
 	return e, nil
 }
 
@@ -133,45 +113,45 @@ func (e *Estimator) EstimatePathsDiag(c *csi.Matrix) ([]PathEstimate, Diag, erro
 	if err != nil {
 		return nil, Diag{}, err
 	}
-	peaks, denseFallback := e.peaksWithFallback(dim)
+	peaks := e.findPeaks(dim)
 	d := Diag{
-		EigenSweeps:   eig.Sweeps,
-		SignalDim:     dim,
-		EigenGapDB:    eigenGapDB(eig.Values, dim),
-		GridTheta:     len(e.thetas),
-		GridTau:       len(e.taus),
-		Peaks:         len(peaks),
-		CellsSwept:    e.cells,
-		DenseFallback: denseFallback,
+		EigenSweeps: eig.Sweeps,
+		SignalDim:   dim,
+		EigenGapDB:  eigenGapDB(eig.Values, dim),
+		GridTheta:   len(e.thetas),
+		GridTau:     len(e.taus),
+		Peaks:       len(peaks),
+		CellsSwept:  len(e.specP),
 	}
 	out := make([]PathEstimate, len(peaks))
 	copy(out, peaks)
 	return out, d, nil
 }
 
-// Spectrum evaluates the full (dense) 2-D pseudo-spectrum for one CSI
-// matrix. It is what CUPID-style max-power selection and diagnostics
-// consume. The returned spectrum is a fresh copy, unaffected by later
+// Spectrum evaluates the 2-D pseudo-spectrum for one CSI matrix. It is
+// what CUPID-style max-power selection and diagnostics consume. The
+// returned spectrum is a fresh row-major copy, unaffected by later
 // estimator calls.
 func (e *Estimator) Spectrum(c *csi.Matrix) (*Spectrum, error) {
 	if _, _, err := e.sweep(c); err != nil {
 		return nil, err
 	}
-	e.evalRemaining()
 	nt, nu := len(e.thetas), len(e.taus)
 	spec := &Spectrum{Thetas: e.thetas, Taus: e.taus, P: make([][]float64, nt)}
 	flat := make([]float64, nt*nu)
-	copy(flat, e.specP)
 	for i := range spec.P {
-		spec.P[i] = flat[i*nu : (i+1)*nu]
+		row := flat[i*nu : (i+1)*nu]
+		for j := range row {
+			row[j] = e.specP[j*nt+i]
+		}
+		spec.P[i] = row
 	}
 	return spec, nil //lint:allow arenaescape Thetas/Taus alias the immutable shared steering table, safe to hold
 }
 
 // sweep runs the front half of the pipeline — smoothing, covariance,
-// eigendecomposition — then evaluates the pseudo-spectrum, coarse-to-fine
-// unless configured dense. On return specP/computed hold the evaluated
-// region for the packet.
+// eigendecomposition — then evaluates the pseudo-spectrum on every grid
+// cell into specP.
 //
 //spotfi:noalloc
 func (e *Estimator) sweep(c *csi.Matrix) (int, *cmat.EigenDecomposition, error) {
@@ -198,193 +178,44 @@ func (e *Estimator) sweep(c *csi.Matrix) (int, *cmat.EigenDecomposition, error) 
 	e.cut = eig.SignalCut(e.p.EigenThreshold, e.p.MaxPaths)
 	e.vecs = eig.Vectors[:e.cut]
 
-	// Reset the per-packet sweep state.
-	for i := range e.colDone {
-		e.colDone[i] = false
-	}
-	for i := range e.computed {
-		e.computed[i] = false
-	}
-	e.cells = 0
-	e.evalIdx = e.evalIdx[:0]
-	e.denseDone = false
-
-	nt, nu := len(e.thetas), len(e.taus)
-	cf := e.p.coarseFactor()
-	if cf <= 1 || nt < 4*cf || nu < 4*cf {
-		// Dense sweep: configured, or the grid is too small for the
-		// coarse lattice to be meaningful.
-		e.evalRemaining()
-	} else {
-		e.coarsePass(cf)
+	// P(θ_i, τ_j) = 1 / (q_d(τ_j) + 2·Σ_c Re(pair_c(θ_i)·q_c(τ_j))): the
+	// Kronecker decomposition of Eq. 7 reduces each cell to nPair complex
+	// multiplies against the per-theta antenna pair products. Each column
+	// first accumulates the cross sum in place, pair by pair, then turns
+	// it into P. Slices resliced to len(col) let the compiler drop the
+	// inner loops' bounds checks.
+	nt := len(e.thetas)
+	for j := range e.taus {
+		qd := e.columnQ(j)
+		col := e.specP[j*nt : (j+1)*nt]
+		clear(col)
+		for c, qc := range e.colQ {
+			pc := e.tab.pair[c*nt : (c+1)*nt][:len(col)]
+			qr, qi := real(qc), imag(qc)
+			for i, pr := range pc {
+				col[i] += real(pr)*qr - imag(pr)*qi
+			}
+		}
+		for i, cross := range col {
+			denom := qd + 2*cross
+			if denom < 1e-18 {
+				denom = 1e-18
+			}
+			col[i] = 1 / denom
+		}
 	}
 	return dim, eig, nil
 }
 
-// coarsePass evaluates the stride-cf lattice (endpoints forced in), finds
-// its local maxima, and densely evaluates a window of radius 2·cf around
-// each of the strongest MaxPaths+4 of them.
+// columnQ computes the block quadratic forms of column j: it returns the
+// diagonal sum Σ_a q_aa and leaves the off-diagonal q_ab for a<b in colQ.
+// Rather than materializing the noise projector E_N·E_Nᴴ, it uses the
+// complement identity P_N = I − Σ_k v_k·v_kᴴ over the few signal
+// eigenvectors: q_ab = δ_ab·‖o‖² − Σ_k conj(w_ka)·w_kb with
+// w_ka = v_k[block a]ᴴ·o(τ_j).
 //
 //spotfi:noalloc
-func (e *Estimator) coarsePass(cf int) {
-	nt, nu := len(e.thetas), len(e.taus)
-	e.latI = latticeIndices(e.latI[:0], nt, cf)
-	e.latJ = latticeIndices(e.latJ[:0], nu, cf)
-	for _, j := range e.latJ {
-		e.evalColumn(j, e.latI)
-	}
-
-	// Local maxima over the coarse lattice, edges included (out-of-range
-	// neighbors are ignored, so a peak drifting past the lattice border
-	// still seeds a window).
-	li, lj := len(e.latI), len(e.latJ)
-	top := e.coarseTop[:0]
-	maxKeep := e.p.MaxPaths + 4
-	for a := 0; a < li; a++ {
-		for b := 0; b < lj; b++ {
-			v := e.specP[e.latI[a]*nu+e.latJ[b]]
-			isMax := true
-			for da := -1; da <= 1 && isMax; da++ {
-				for db := -1; db <= 1; db++ {
-					if da == 0 && db == 0 {
-						continue
-					}
-					na, nb := a+da, b+db
-					if na < 0 || na >= li || nb < 0 || nb >= lj {
-						continue
-					}
-					if e.specP[e.latI[na]*nu+e.latJ[nb]] > v {
-						isMax = false
-						break
-					}
-				}
-			}
-			if isMax {
-				top = insertCoarseMax(top, coarseMax{i: e.latI[a], j: e.latJ[b], v: v}, maxKeep)
-			}
-		}
-	}
-	e.coarseTop = top
-
-	r := 2 * cf
-	for _, m := range top {
-		i0, i1 := m.i-r, m.i+r
-		if i0 < 0 {
-			i0 = 0
-		}
-		if i1 > nt-1 {
-			i1 = nt - 1
-		}
-		j0, j1 := m.j-r, m.j+r
-		if j0 < 0 {
-			j0 = 0
-		}
-		if j1 > nu-1 {
-			j1 = nu - 1
-		}
-		for j := j0; j <= j1; j++ {
-			e.evalColumnRange(j, i0, i1)
-		}
-	}
-}
-
-// latticeIndices appends 0, cf, 2·cf, … and forces the final index n−1.
-//
-//spotfi:noalloc
-func latticeIndices(dst []int, n, cf int) []int {
-	for i := 0; i < n; i += cf {
-		dst = append(dst, i)
-	}
-	if dst[len(dst)-1] != n-1 {
-		dst = append(dst, n-1)
-	}
-	return dst
-}
-
-// insertCoarseMax keeps top sorted by descending value, capped at k.
-//
-//spotfi:noalloc
-func insertCoarseMax(top []coarseMax, m coarseMax, k int) []coarseMax {
-	pos := len(top)
-	for pos > 0 && top[pos-1].v < m.v {
-		pos--
-	}
-	if pos >= k {
-		return top
-	}
-	if len(top) < k {
-		top = append(top, coarseMax{})
-	}
-	copy(top[pos+1:], top[pos:])
-	top[pos] = m
-	return top
-}
-
-// evalColumn evaluates the given rows of column j.
-//
-//spotfi:noalloc
-func (e *Estimator) evalColumn(j int, rows []int) {
-	qd, qp := e.columnQ(j)
-	nu := len(e.taus)
-	for _, i := range rows {
-		idx := i*nu + j
-		if !e.computed[idx] {
-			e.evalCell(idx, i, qd, qp)
-		}
-	}
-}
-
-// evalColumnRange evaluates rows [i0, i1] of column j, skipping cells the
-// coarse pass already computed.
-//
-//spotfi:noalloc
-func (e *Estimator) evalColumnRange(j, i0, i1 int) {
-	qd, qp := e.columnQ(j)
-	nu := len(e.taus)
-	for i := i0; i <= i1; i++ {
-		idx := i*nu + j
-		if !e.computed[idx] {
-			e.evalCell(idx, i, qd, qp)
-		}
-	}
-}
-
-// evalCell computes P(θ_i, τ_j) from the column's cached block forms: the
-// Kronecker decomposition of Eq. 7 reduces each cell to nPair complex
-// multiplies against the per-theta antenna pair products.
-//
-//spotfi:noalloc
-func (e *Estimator) evalCell(idx, i int, qd float64, qp []complex128) {
-	nPair := e.tab.nPair
-	pr := e.tab.pair[i*nPair : (i+1)*nPair]
-	var cross float64
-	for c, qc := range qp {
-		cross += real(pr[c])*real(qc) - imag(pr[c])*imag(qc)
-	}
-	denom := qd + 2*cross
-	if denom < 1e-18 {
-		denom = 1e-18
-	}
-	e.specP[idx] = 1 / denom
-	e.computed[idx] = true
-	e.evalIdx = append(e.evalIdx, int32(idx))
-	e.cells++
-}
-
-// columnQ returns the block quadratic forms of column j — the diagonal sum
-// Σ_a q_aa and the off-diagonal q_ab for a<b — computing and caching them
-// on first use. Rather than materializing the noise projector E_N·E_Nᴴ
-// (the dominant cost of the old dense sweep), it uses the complement
-// identity P_N = I − Σ_k v_k·v_kᴴ over the few signal eigenvectors:
-// q_ab = δ_ab·‖o‖² − Σ_k conj(w_ka)·w_kb with w_ka = v_k[block a]ᴴ·o(τ_j).
-//
-//spotfi:noalloc
-func (e *Estimator) columnQ(j int) (float64, []complex128) {
-	nPair := e.tab.nPair
-	qp := e.colQPair[j*nPair : (j+1)*nPair]
-	if e.colDone[j] {
-		return e.colQDiag[j], qp
-	}
+func (e *Estimator) columnQ(j int) float64 {
 	subAnt, subSub := e.tab.subAnt, e.tab.subSub
 	o := e.tab.omega[j*subSub : (j+1)*subSub]
 	w := e.w[:e.cut*subAnt]
@@ -409,58 +240,17 @@ func (e *Estimator) columnQ(j int) (float64, []complex128) {
 			for k := 0; k < e.cut; k++ {
 				sum += cmplx.Conj(w[k*subAnt+a]) * w[k*subAnt+b]
 			}
-			qp[c] = -sum
+			e.colQ[c] = -sum
 			c++
 		}
 	}
-	e.colQDiag[j] = qd
-	e.colDone[j] = true
-	return qd, qp
+	return qd
 }
 
-// evalRemaining evaluates every not-yet-computed cell (the dense sweep, or
-// the dense fallback after a coarse pass).
-//
-//spotfi:noalloc
-func (e *Estimator) evalRemaining() {
-	if e.denseDone {
-		return
-	}
-	nt, nu := len(e.thetas), len(e.taus)
-	for j := 0; j < nu; j++ {
-		e.evalColumnRange(j, 0, nt-1)
-	}
-	e.denseDone = true
-}
-
-// peaksWithFallback finds peaks on the evaluated region and falls back to
-// the dense sweep when the result is untrustworthy: a candidate peak sits
-// on the border of the evaluated region (its true neighborhood is
-// unknown), and that candidate is strong enough to displace the weakest
-// accepted peak (or too few peaks were found at all). The returned slice
-// aliases the estimator's scratch arena.
-//
-//spotfi:noalloc
-func (e *Estimator) peaksWithFallback(dim int) ([]PathEstimate, bool) {
-	peaks, crowdMax := e.findPeaksMasked(dim)
-	if e.denseDone || crowdMax == 0 {
-		return peaks, false
-	}
-	if len(peaks) >= dim && crowdMax <= peaks[len(peaks)-1].Power {
-		return peaks, false
-	}
-	e.evalRemaining()
-	peaks, _ = e.findPeaksMasked(dim)
-	return peaks, true
-}
-
-// findPeaksMasked locates local maxima of the evaluated pseudo-spectrum
-// region, refines them with per-axis quadratic interpolation, merges
+// findPeaks locates the 8-neighbour local maxima of the swept spectrum,
+// refines them with per-axis quadratic interpolation, merges
 // near-duplicates by physical distance, and returns the top count peaks by
-// power (in the estimator's scratch arena). crowdMax is the strongest
-// would-be peak that touched the border of the evaluated region — zero
-// when the region's peaks are all interior, i.e. the coarse windows were
-// large enough.
+// power (in the estimator's scratch arena).
 //
 // Grid-edge cells are excluded: a maximum at the ±90° AoA edge (array
 // endfire, where a ULA has no resolution) or at the ToF search boundary is
@@ -468,78 +258,32 @@ func (e *Estimator) peaksWithFallback(dim int) ([]PathEstimate, bool) {
 // repeatability would otherwise fabricate a spuriously tight cluster.
 //
 //spotfi:noalloc
-func (e *Estimator) findPeaksMasked(count int) ([]PathEstimate, float64) {
+func (e *Estimator) findPeaks(count int) []PathEstimate {
 	nt, nu := len(e.thetas), len(e.taus)
 	peaks := e.scratch[:0]
-	crowdMax := 0.0
-	if e.denseDone {
-		// Every cell is evaluated: scan row-major with no mask loads and
-		// the neighbor comparisons flattened.
-		for i := 1; i < nt-1; i++ {
-			for j := 1; j < nu-1; j++ {
-				idx := i*nu + j
-				v := e.specP[idx]
-				if e.specP[idx-nu-1] > v || e.specP[idx-nu] > v || e.specP[idx-nu+1] > v ||
-					e.specP[idx-1] > v || e.specP[idx+1] > v ||
-					e.specP[idx+nu-1] > v || e.specP[idx+nu] > v || e.specP[idx+nu+1] > v {
-					continue
-				}
-				peaks = e.appendRefined(peaks, i, j, v)
-			}
-		}
-	} else {
-		// Sparse region: visit only the evaluated cells, in evaluation
-		// order. Enumeration order does not affect results —
-		// sortPeaksByPower orders ties by position, so plateaus of
-		// exact-equal cells (e.g. at the denominator clamp) resolve the
-		// same way as under the dense row-major scan.
-		for _, idx32 := range e.evalIdx {
-			idx := int(idx32)
-			i, j := idx/nu, idx%nu
-			if i == 0 || i == nt-1 || j == 0 || j == nu-1 {
-				continue
-			}
-			v := e.specP[idx]
-			isPeak, border := true, false
-			for di := -1; di <= 1 && isPeak; di++ {
-				for dj := -1; dj <= 1; dj++ {
-					if di == 0 && dj == 0 {
-						continue
-					}
-					nidx := (i+di)*nu + (j + dj)
-					if !e.computed[nidx] {
-						border = true
-						continue
-					}
-					if e.specP[nidx] > v {
-						isPeak = false
-						break
-					}
-				}
-			}
-			if !isPeak {
-				continue
-			}
-			if border {
-				// No computed neighbor beats it, but part of its
-				// neighborhood is unknown: can neither accept nor
-				// reject. Record it for the fallback decision.
-				if v > crowdMax {
-					crowdMax = v
-				}
+	// Walk column by column. The AoA neighbours in the same column are
+	// tested first: they reject all but the column's few 1-D maxima.
+	for j := 1; j < nu-1; j++ {
+		col := e.specP[j*nt : (j+1)*nt]
+		prev := e.specP[(j-1)*nt : j*nt][:len(col)]
+		next := e.specP[(j+1)*nt : (j+2)*nt][:len(col)]
+		for i := 1; i < len(col)-1; i++ {
+			v := col[i]
+			if col[i-1] > v || col[i+1] > v ||
+				prev[i-1] > v || prev[i] > v || prev[i+1] > v ||
+				next[i-1] > v || next[i] > v || next[i+1] > v {
 				continue
 			}
 			peaks = e.appendRefined(peaks, i, j, v)
 		}
 	}
 	sortPeaksByPower(peaks)
-	rTheta, rTau := e.p.dedupeRadii()
-	peaks = dedupePeaks(peaks, rTheta, rTau)
+	peaks = dedupePeaks(peaks, e.rTheta, e.rTau)
 	if len(peaks) > count {
 		peaks = peaks[:count]
 	}
 	e.scratch = peaks[:0]
-	return peaks, crowdMax
+	return peaks
 }
 
 // appendRefined quadratically refines the accepted maximum at (i, j) on
@@ -547,17 +291,16 @@ func (e *Estimator) findPeaksMasked(count int) ([]PathEstimate, float64) {
 //
 //spotfi:noalloc
 func (e *Estimator) appendRefined(peaks []PathEstimate, i, j int, v float64) []PathEstimate {
-	nu := len(e.taus)
-	theta := refineAxis(e.thetas, i, func(k int) float64 { return e.specP[k*nu+j] })
-	tau := refineAxis(e.taus, j, func(k int) float64 { return e.specP[i*nu+k] })
+	nt := len(e.thetas)
+	theta := refineAxis(e.thetas, i, func(k int) float64 { return e.specP[j*nt+k] })
+	tau := refineAxis(e.taus, j, func(k int) float64 { return e.specP[k*nt+i] })
 	return append(peaks, PathEstimate{AoA: theta, ToF: tau, Power: v})
 }
 
 // sortPeaksByPower sorts descending by Power with an allocation-free
 // insertion sort (peak counts are tiny). Equal powers order by position
-// (AoA, then ToF) so the result is a pure function of the peak set — the
-// coarse and dense sweeps enumerate candidates in different orders, and
-// dedupePeaks keeps whichever duplicate sorts first.
+// (AoA, then ToF) so the result is a pure function of the peak set, not
+// of the scan order: dedupePeaks keeps whichever duplicate sorts first.
 //
 //spotfi:noalloc
 func sortPeaksByPower(peaks []PathEstimate) {

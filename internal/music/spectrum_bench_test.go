@@ -24,30 +24,11 @@ func benchScene(seed int64) *csi.Matrix {
 	return c
 }
 
-// BenchmarkSpectrumCoarse is the production configuration: coarse-to-fine
-// sweep, shared steering table, warm estimator arenas. CI gates its
-// allocations.
-func BenchmarkSpectrumCoarse(b *testing.B) {
+// BenchmarkSpectrumFullGrid is the production configuration: the full
+// 181×201 grid sweep, shared steering table, warm estimator arenas. CI
+// gates its allocations.
+func BenchmarkSpectrumFullGrid(b *testing.B) {
 	e, err := NewEstimator(DefaultParams())
-	if err != nil {
-		b.Fatal(err)
-	}
-	c := benchScene(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.EstimatePaths(c); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSpectrumDense forces the classic full-grid sweep for
-// comparison.
-func BenchmarkSpectrumDense(b *testing.B) {
-	p := DefaultParams()
-	p.CoarseGridFactor = 1
-	e, err := NewEstimator(p)
 	if err != nil {
 		b.Fatal(err)
 	}

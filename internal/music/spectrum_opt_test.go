@@ -114,123 +114,6 @@ func complexPow(z complex128, n int) complex128 {
 	return cmplx.Rect(math.Pow(r, float64(n)), phase*float64(n))
 }
 
-// TestCoarseMatchesDense is the core equivalence guarantee of the
-// coarse-to-fine sweep: across seeded scenes — including multipath-heavy
-// ones — the returned paths must match the classic dense sweep exactly
-// (same cells, same refinement, same dedupe).
-func TestCoarseMatchesDense(t *testing.T) {
-	scenes := []struct {
-		name  string
-		paths []PathEstimate
-		gains []complex128
-		sigma float64
-	}{
-		{
-			name:  "single",
-			paths: []PathEstimate{{AoA: 0.2, ToF: 30e-9}},
-			gains: []complex128{1},
-			sigma: 0.05,
-		},
-		{
-			name: "three-path",
-			paths: []PathEstimate{
-				{AoA: 0.3, ToF: 15e-9}, {AoA: -0.5, ToF: 55e-9}, {AoA: 0.9, ToF: 95e-9}},
-			gains: []complex128{1, 0.6 + 0.2i, 0.35 - 0.1i},
-			sigma: 0.05,
-		},
-		{
-			name: "multipath-heavy",
-			paths: []PathEstimate{
-				{AoA: -1.1, ToF: -80e-9}, {AoA: -0.4, ToF: 10e-9}, {AoA: -0.32, ToF: 22e-9},
-				{AoA: 0.15, ToF: 60e-9}, {AoA: 0.8, ToF: 120e-9}, {AoA: 1.25, ToF: 180e-9}},
-			gains: []complex128{0.7, 1, 0.9 - 0.3i, 0.5 + 0.4i, 0.45, 0.3i},
-			sigma: 0.08,
-		},
-	}
-	pd := DefaultParams()
-	pd.CoarseGridFactor = 1
-	dense, err := NewEstimator(pd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pc := DefaultParams()
-	coarse, err := NewEstimator(pc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sc := range scenes {
-		for seed := int64(1); seed <= 8; seed++ {
-			c := optScene(seed, sc.sigma, sc.paths, sc.gains)
-			dp, dd, err := dense.EstimatePathsDiag(c.Clone())
-			if err != nil {
-				t.Fatalf("%s/%d dense: %v", sc.name, seed, err)
-			}
-			cp, cd, err := coarse.EstimatePathsDiag(c)
-			if err != nil {
-				t.Fatalf("%s/%d coarse: %v", sc.name, seed, err)
-			}
-			if len(dp) != len(cp) {
-				t.Fatalf("%s/%d: dense %d paths, coarse %d", sc.name, seed, len(dp), len(cp))
-			}
-			for i := range dp {
-				if dp[i] != cp[i] { //lint:allow floateq equivalence means identical cells and refinement
-					t.Fatalf("%s/%d path %d: dense %+v coarse %+v", sc.name, seed, i, dp[i], cp[i])
-				}
-			}
-			if cd.CellsSwept > dd.CellsSwept {
-				t.Fatalf("%s/%d: coarse swept %d cells, dense %d", sc.name, seed, cd.CellsSwept, dd.CellsSwept)
-			}
-		}
-	}
-}
-
-// TestCoarseWindowEdgeFallback forces an extremely coarse lattice so peaks
-// routinely land on window borders, exercising the dense-fallback guard —
-// equivalence must hold regardless.
-func TestCoarseWindowEdgeFallback(t *testing.T) {
-	paths := []PathEstimate{
-		{AoA: -0.45, ToF: 18e-9}, {AoA: -0.38, ToF: 26e-9},
-		{AoA: 0.52, ToF: 70e-9}, {AoA: 0.58, ToF: 85e-9}}
-	gains := []complex128{1, 0.95 - 0.2i, 0.8 + 0.3i, 0.75}
-
-	pd := DefaultParams()
-	pd.CoarseGridFactor = 1
-	dense, err := NewEstimator(pd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pc := DefaultParams()
-	pc.CoarseGridFactor = 16
-	coarse, err := NewEstimator(pc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fallbacks := 0
-	for seed := int64(1); seed <= 12; seed++ {
-		c := optScene(seed, 0.1, paths, gains)
-		dp, _, err := dense.EstimatePathsDiag(c.Clone())
-		if err != nil {
-			t.Fatal(err)
-		}
-		cp, cd, err := coarse.EstimatePathsDiag(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cd.DenseFallback {
-			fallbacks++
-		}
-		if len(dp) != len(cp) {
-			t.Fatalf("seed %d: dense %d paths, coarse-16 %d (fallback=%v)", seed, len(dp), len(cp), cd.DenseFallback)
-		}
-		for i := range dp {
-			if dp[i] != cp[i] { //lint:allow floateq equivalence means identical cells and refinement
-				t.Fatalf("seed %d path %d: dense %+v coarse-16 %+v", seed, i, dp[i], cp[i])
-			}
-		}
-	}
-	t.Logf("dense fallbacks triggered on %d/12 seeds", fallbacks)
-}
-
 func TestEstimateSteadyStateAllocs(t *testing.T) {
 	e, err := NewEstimator(DefaultParams())
 	if err != nil {

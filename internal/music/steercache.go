@@ -37,9 +37,10 @@ type steeringTable struct {
 	phi []complex128
 	// omega[j*subSub+s] = Ω(taus[j])^s.
 	omega []complex128
-	// pair[i*nPair+c] = conj(Φ^a)·Φ^b for the c-th antenna pair (a<b, in
-	// a-major order) at thetas[i] — the only per-theta factor the sweep's
-	// inner loop needs.
+	// pair[c*len(thetas)+i] = conj(Φ^a)·Φ^b for the c-th antenna pair
+	// (a<b, in a-major order) at thetas[i] — the only per-theta factor the
+	// sweep's inner loop needs, laid out so each pair's AoA run is
+	// contiguous like a spectrum column.
 	pair []complex128
 	// omegaNorm[j] = ‖o(taus[j])‖², the ∑_s |Ω^s|² diagonal term.
 	omegaNorm []float64
@@ -109,14 +110,15 @@ func buildSteeringTable(p Params) *steeringTable {
 	}
 	t.nPair = t.subAnt * (t.subAnt - 1) / 2
 	t.phi = make([]complex128, len(t.thetas)*t.subAnt)
-	t.pair = make([]complex128, len(t.thetas)*t.nPair)
+	nt := len(t.thetas)
+	t.pair = make([]complex128, t.nPair*nt)
 	for i, th := range t.thetas {
 		pow := geometricSeries(Phi(th, p.Array, p.Band), t.subAnt)
 		copy(t.phi[i*t.subAnt:], pow)
-		c := i * t.nPair
+		c := 0
 		for a := 0; a < t.subAnt; a++ {
 			for b := a + 1; b < t.subAnt; b++ {
-				t.pair[c] = cmplx.Conj(pow[a]) * pow[b]
+				t.pair[c*nt+i] = cmplx.Conj(pow[a]) * pow[b]
 				c++
 			}
 		}

@@ -27,8 +27,9 @@ func BuildLadder(base Config, aps []AP, modes int) ([]*Localizer, error) {
 		func(c Config) Config {
 			c.ModeLabel = admit.ModeCoarse.String()
 			c.FastPath.Enabled = true
-			// Halve the coarse-pass resolution of the MUSIC fallback on
-			// top of the fast path: cheaper hard bursts, same refinement.
+			// On top of the fast path, the MUSIC fallback sweeps a grid
+			// with twice the AoA and ToF steps: about 4× fewer cells per
+			// hard burst.
 			c.Music.CoarseGridFactor *= 2
 			return c
 		},

@@ -566,9 +566,6 @@ func (l *Localizer) estimateAndCluster(apID int, pkts []*Packet, works []*CSIMat
 			esp.SetInt("grid_tau", int64(diag.GridTau))
 			esp.SetInt("peaks", int64(diag.Peaks))
 			esp.SetInt("cells_swept", int64(diag.CellsSwept))
-			if diag.DenseFallback {
-				esp.SetInt("dense_fallback", 1)
-			}
 			esp.End()
 			if err != nil {
 				errs[i] = err
