@@ -25,6 +25,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"time"
 
 	"spotfi/internal/experiments"
@@ -32,6 +33,41 @@ import (
 	"spotfi/internal/testbed"
 	"spotfi/internal/viz"
 )
+
+// figures lists every experiment in run order; -only and its help text
+// derive from it.
+var figures = []struct {
+	id string
+	fn func(experiments.Options) (*experiments.Result, error)
+}{
+	{"fig5ab", experiments.Fig5Sanitization},
+	{"fig5c", experiments.Fig5cClusters},
+	{"fig7a", experiments.Fig7aOffice},
+	{"fig7b", experiments.Fig7bNLoS},
+	{"fig7c", experiments.Fig7cCorridor},
+	{"fig8a", experiments.Fig8aAoA},
+	{"fig8b", experiments.Fig8bSelection},
+	{"fig9a", experiments.Fig9aDensity},
+	{"fig9b", experiments.Fig9bPackets},
+}
+
+func figureIDs() []string {
+	ids := make([]string, len(figures))
+	for i, f := range figures {
+		ids[i] = f.id
+	}
+	return ids
+}
+
+// figureFn returns the experiment registered under id, or nil.
+func figureFn(id string) func(experiments.Options) (*experiments.Result, error) {
+	for _, f := range figures {
+		if f.id == id {
+			return f.fn
+		}
+	}
+	return nil
+}
 
 // writeSVG renders a figure's series as a CDF plot SVG next to the text
 // output.
@@ -61,7 +97,7 @@ func main() {
 	packets := flag.Int("packets", 0, "packets per burst (0 = paper default of 40)")
 	targets := flag.Int("targets", 0, "max targets per deployment (0 = all)")
 	repeats := flag.Int("repeats", 1, "independently-seeded deployments to pool per experiment")
-	only := flag.String("only", "", "run a single figure (fig5ab, fig5c, fig7a, fig7b, fig7c, fig8a, fig8b, fig9a, fig9b, planval)")
+	only := flag.String("only", "", "run a single figure ("+strings.Join(figureIDs(), ", ")+")")
 	svgDir := flag.String("svg", "", "also write one SVG figure per experiment into this directory")
 	resultsOut := flag.String("results", "", "also write the raw result series as JSON to this file")
 	jsonOut := flag.Bool("json", false, "write the machine-readable baseline to BENCH_<runid>.json")
@@ -108,24 +144,10 @@ func main() {
 	}
 	baseline := experiments.NewBaseline(id, time.Now().UTC().Format(time.RFC3339), opts)
 
-	fns := map[string]func(experiments.Options) (*experiments.Result, error){
-		"fig5ab":  experiments.Fig5Sanitization,
-		"fig5c":   experiments.Fig5cClusters,
-		"fig7a":   experiments.Fig7aOffice,
-		"fig7b":   experiments.Fig7bNLoS,
-		"fig7c":   experiments.Fig7cCorridor,
-		"fig8a":   experiments.Fig8aAoA,
-		"fig8b":   experiments.Fig8bSelection,
-		"fig9a":   experiments.Fig9aDensity,
-		"fig9b":   experiments.Fig9bPackets,
-		"planval": experiments.PlanValidation,
-	}
-	order := []string{"fig5ab", "fig5c", "fig7a", "fig7b", "fig7c", "fig8a", "fig8b", "fig9a", "fig9b", "planval"}
-
 	var collected []*experiments.Result
 	run := func(id string) error {
-		fn, ok := fns[id]
-		if !ok {
+		fn := figureFn(id)
+		if fn == nil {
 			return fmt.Errorf("unknown figure %q", id)
 		}
 		// Allocation deltas as a machine-independent cost proxy alongside
@@ -158,8 +180,8 @@ func main() {
 			os.Exit(1)
 		}
 	} else {
-		for _, id := range order {
-			if err := run(id); err != nil {
+		for _, f := range figures {
+			if err := run(f.id); err != nil {
 				fmt.Fprintln(os.Stderr, "spotfi-bench:", err)
 				os.Exit(1)
 			}

@@ -96,29 +96,6 @@ func Apply(c *csi.Matrix, off Offsets) error {
 	return nil
 }
 
-// ApplyBurst corrects every packet of a burst in place.
-func ApplyBurst(pkts []*csi.Packet, off Offsets) error {
-	for _, p := range pkts {
-		if p == nil || p.CSI == nil {
-			return fmt.Errorf("calib: nil packet in burst")
-		}
-		if err := Apply(p.CSI, off); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// MaxAbs returns the largest |offset| in radians — a quick health metric
-// for how far out of calibration an AP is.
-func (o Offsets) MaxAbs() float64 {
-	var m float64
-	for _, v := range o {
-		m = math.Max(m, math.Abs(v))
-	}
-	return m
-}
-
 // wrap maps an angle into (−π, π] in closed form; repeated ±2π
 // subtraction would compound rounding error per step.
 func wrap(a float64) float64 {

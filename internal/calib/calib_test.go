@@ -95,19 +95,6 @@ func TestApplyRestoresAoAAccuracy(t *testing.T) {
 	}
 }
 
-func TestApplyBurst(t *testing.T) {
-	truth := []float64{0, 0.3, -0.3}
-	ap := sim.AP{Pos: geom.Point{X: 0, Y: 0}, NormalAngle: 0}
-	burst, _ := beaconBurst(t, truth, geom.Point{X: 2, Y: 0}, ap, 3, 44)
-	off := Offsets{0, 0.3, -0.3}
-	if err := ApplyBurst(burst, off); err != nil {
-		t.Fatal(err)
-	}
-	if err := ApplyBurst([]*csi.Packet{nil}, off); err == nil {
-		t.Fatal("nil packet accepted")
-	}
-}
-
 func TestEstimateErrors(t *testing.T) {
 	band := rf.DefaultBand()
 	array := rf.DefaultArray(band)
@@ -135,15 +122,6 @@ func TestApplyErrors(t *testing.T) {
 	}
 	if err := Apply(csi.NewMatrix(3, 30), Offsets{0, 1}); err == nil {
 		t.Fatal("offset length mismatch accepted")
-	}
-}
-
-func TestMaxAbs(t *testing.T) {
-	if (Offsets{0, 0.2, -0.7}).MaxAbs() != 0.7 {
-		t.Fatal("MaxAbs wrong")
-	}
-	if (Offsets{}).MaxAbs() != 0 {
-		t.Fatal("empty MaxAbs wrong")
 	}
 }
 

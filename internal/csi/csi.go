@@ -83,18 +83,6 @@ func (c *Matrix) Validate() error {
 	return nil
 }
 
-// Flatten stacks the matrix into the single 90×1-style column the paper's
-// extended sensor array uses (Fig. 4 left): antenna-major, i.e.
-// [csi_{1,1} … csi_{1,N} csi_{2,1} … csi_{M,N}].
-func (c *Matrix) Flatten() []complex128 {
-	m, n := c.Antennas(), c.Subcarriers()
-	out := make([]complex128, 0, m*n)
-	for a := 0; a < m; a++ {
-		out = append(out, c.Values[a]...)
-	}
-	return out
-}
-
 // Power returns the total received power across all antennas and
 // subcarriers (linear units).
 func (c *Matrix) Power() float64 {
@@ -115,17 +103,6 @@ func (c *Matrix) Phase() [][]float64 {
 		for n, v := range row {
 			out[m][n] = cmplx.Phase(v)
 		}
-	}
-	return out
-}
-
-// UnwrappedPhase returns the per-antenna phase response unwrapped along the
-// subcarrier axis (the ψᵢ(m,n) of Algorithm 1): consecutive subcarrier
-// phase differences are brought into (−π, π].
-func (c *Matrix) UnwrappedPhase() [][]float64 {
-	out := c.Phase()
-	for _, row := range out {
-		UnwrapInPlace(row)
 	}
 	return out
 }

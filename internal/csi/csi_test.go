@@ -58,23 +58,6 @@ func TestValidateCatchesRagged(t *testing.T) {
 	}
 }
 
-func TestFlattenOrder(t *testing.T) {
-	m := NewMatrix(2, 3)
-	k := complex128(0)
-	for a := 0; a < 2; a++ {
-		for n := 0; n < 3; n++ {
-			m.Values[a][n] = k
-			k++
-		}
-	}
-	f := m.Flatten()
-	for i, v := range f {
-		if v != complex(float64(i), 0) {
-			t.Fatalf("Flatten order wrong at %d: %v", i, v)
-		}
-	}
-}
-
 func TestPower(t *testing.T) {
 	m := NewMatrix(1, 2)
 	m.Values[0][0] = 3
@@ -91,7 +74,8 @@ func TestPhaseAndUnwrap(t *testing.T) {
 	for n := 0; n < 30; n++ {
 		m.Values[0][n] = cmplx.Exp(complex(0, slope*float64(n)))
 	}
-	un := m.UnwrappedPhase()[0]
+	un := m.Phase()[0]
+	UnwrapInPlace(un)
 	for n := 1; n < 30; n++ {
 		d := un[n] - un[n-1]
 		if math.Abs(d-slope) > 1e-9 {

@@ -158,10 +158,10 @@ func (t Tolerance) fill() Tolerance {
 }
 
 // Compare diffs cur against base and returns one violation string per
-// regression beyond tol (empty slice = pass). Figures present in base but
-// missing from cur are violations (coverage loss); figures only in cur are
-// ignored (new figures cannot regress). Mismatched run opts are a single
-// violation: cross-scale numbers are not comparable.
+// regression beyond tol (empty slice = pass). A figure or series on only
+// one side is a violation: missing from cur is lost coverage, missing from
+// base would ship ungated until the baseline is regenerated. Mismatched run
+// opts are a single violation: cross-scale numbers are not comparable.
 func Compare(base, cur *Baseline, tol Tolerance) []string {
 	tol = tol.fill()
 	if base.Opts != cur.Opts {
@@ -169,24 +169,24 @@ func Compare(base, cur *Baseline, tol Tolerance) []string {
 			base.Opts, cur.Opts)}
 	}
 	var out []string
-	ids := make([]string, 0, len(base.Figures))
-	for id := range base.Figures {
-		ids = append(ids, id)
+	for _, id := range sortedKeys(cur.Figures) {
+		if _, ok := base.Figures[id]; !ok {
+			out = append(out, fmt.Sprintf("%s: not in baseline, so ungated (regenerate the baseline with -write-baseline)", id))
+		}
 	}
-	sort.Strings(ids)
-	for _, id := range ids {
+	for _, id := range sortedKeys(base.Figures) {
 		bf := base.Figures[id]
 		cf, ok := cur.Figures[id]
 		if !ok {
 			out = append(out, fmt.Sprintf("%s: missing from current run", id))
 			continue
 		}
-		labels := make([]string, 0, len(bf.Series))
-		for lab := range bf.Series {
-			labels = append(labels, lab)
+		for _, lab := range sortedKeys(cf.Series) {
+			if _, ok := bf.Series[lab]; !ok {
+				out = append(out, fmt.Sprintf("%s/%s: series not in baseline, so ungated (regenerate the baseline with -write-baseline)", id, lab))
+			}
 		}
-		sort.Strings(labels)
-		for _, lab := range labels {
+		for _, lab := range sortedKeys(bf.Series) {
 			bs := bf.Series[lab]
 			cs, ok := cf.Series[lab]
 			if !ok {
@@ -211,6 +211,15 @@ func Compare(base, cur *Baseline, tol Tolerance) []string {
 		}
 	}
 	return out
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // accuracyViolation gates one accuracy stat one-sidedly: only getting

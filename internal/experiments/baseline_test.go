@@ -81,6 +81,24 @@ func TestCompareFlagsMissingFigureAndSeries(t *testing.T) {
 	if v := Compare(base2, cur2, Tolerance{}); len(v) != 1 || !strings.Contains(v[0], "arraytrack: series missing") {
 		t.Fatalf("violations = %v", v)
 	}
+
+	// The other direction: a figure or series the baseline lacks would
+	// otherwise ship without any gate.
+	base3, cur3 := baselinePair()
+	cur3.Figures["fig10"] = cur3.Figures["fig7a"]
+	if v := Compare(base3, cur3, Tolerance{}); len(v) != 1 || !strings.Contains(v[0], "fig10: not in baseline") ||
+		!strings.Contains(v[0], "regenerate the baseline") {
+		t.Fatalf("violations = %v", v)
+	}
+
+	base4, cur4 := baselinePair()
+	fig4 := cur4.Figures["fig7a"]
+	fig4.Series["oracle"] = fig4.Series["spotfi"]
+	cur4.Figures["fig7a"] = fig4
+	if v := Compare(base4, cur4, Tolerance{}); len(v) != 1 || !strings.Contains(v[0], "fig7a/oracle: series not in baseline") ||
+		!strings.Contains(v[0], "regenerate the baseline") {
+		t.Fatalf("violations = %v", v)
+	}
 }
 
 func TestCompareRejectsOptsMismatch(t *testing.T) {

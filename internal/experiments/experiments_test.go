@@ -137,24 +137,3 @@ func TestFig9bQuick(t *testing.T) {
 		t.Fatalf("series = %d, want 2", len(r.Series))
 	}
 }
-
-func TestPlanValidationQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("expensive")
-	}
-	r, err := PlanValidation(quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Series) != 2 {
-		t.Fatalf("series = %d", len(r.Series))
-	}
-	pred := stats.Median(r.Series[0].Values)
-	meas := stats.Median(r.Series[1].Values)
-	t.Logf("planval quick: predicted %.2f m, measured %.2f m", pred, meas)
-	// The CRLB is a lower bound: the measured median should not beat it
-	// by a wide margin.
-	if meas < pred/2 {
-		t.Fatalf("measured (%.2f) implausibly beats the bound (%.2f)", meas, pred)
-	}
-}

@@ -62,14 +62,6 @@ type Segment struct {
 	A, B Point
 }
 
-// Length returns the segment length.
-func (s Segment) Length() float64 { return s.A.Dist(s.B) }
-
-// Midpoint returns the segment midpoint.
-func (s Segment) Midpoint() Point {
-	return Point{(s.A.X + s.B.X) / 2, (s.A.Y + s.B.Y) / 2}
-}
-
 const intersectEps = 1e-12
 
 // Intersects reports whether segments s and t share at least one point,
@@ -155,12 +147,6 @@ func NormalizeAngle(a float64) float64 {
 		a += 2 * math.Pi
 	}
 	return a
-}
-
-// AngleDiff returns the smallest absolute difference between two angles in
-// radians, in [0, π].
-func AngleDiff(a, b float64) float64 {
-	return math.Abs(NormalizeAngle(a - b))
 }
 
 // Deg converts radians to degrees.

@@ -164,21 +164,7 @@ func TestNormalizeAngle(t *testing.T) {
 	approx(t, NormalizeAngle(0.5), 0.5, 1e-12, "0.5")
 }
 
-func TestAngleDiff(t *testing.T) {
-	approx(t, AngleDiff(0.1, -0.1), 0.2, 1e-12, "simple")
-	approx(t, AngleDiff(math.Pi-0.05, -math.Pi+0.05), 0.1, 1e-12, "wraparound")
-	approx(t, AngleDiff(1, 1), 0, 1e-12, "equal")
-}
-
 func TestDegRadRoundTrip(t *testing.T) {
 	approx(t, Deg(Rad(42)), 42, 1e-12, "deg→rad→deg")
 	approx(t, Rad(180), math.Pi, 1e-12, "180°")
-}
-
-func TestSegmentLengthMidpoint(t *testing.T) {
-	s := Segment{Point{0, 0}, Point{4, 0}}
-	approx(t, s.Length(), 4, 1e-12, "Length")
-	if s.Midpoint() != (Point{2, 0}) {
-		t.Fatalf("Midpoint = %v", s.Midpoint())
-	}
 }

@@ -89,13 +89,21 @@ func TestSteeringTableMatchesDirectEvaluation(t *testing.T) {
 		t.Fatal(err)
 	}
 	tab := e.tab
-	for _, i := range []int{0, 1, len(tab.thetas) / 2, len(tab.thetas) - 1} {
+	nt := len(tab.thetas)
+	for _, i := range []int{0, 1, nt / 2, nt - 1} {
 		phi := Phi(tab.thetas[i], p.Array, p.Band)
+		c := 0
 		for a := 0; a < tab.subAnt; a++ {
-			want := complexPow(phi, a)
-			if cmplx.Abs(tab.phi[i*tab.subAnt+a]-want) > 1e-12 {
-				t.Fatalf("phi table (%d,%d) = %v, want %v", i, a, tab.phi[i*tab.subAnt+a], want)
+			for b := a + 1; b < tab.subAnt; b++ {
+				want := cmplx.Conj(complexPow(phi, a)) * complexPow(phi, b)
+				if got := tab.pair[c*nt+i]; cmplx.Abs(got-want) > 1e-12 {
+					t.Fatalf("pair table (%d, a=%d, b=%d) = %v, want %v", i, a, b, got, want)
+				}
+				c++
 			}
+		}
+		if c != tab.nPair {
+			t.Fatalf("walked %d antenna pairs, table has %d", c, tab.nPair)
 		}
 	}
 	for _, j := range []int{0, len(tab.taus) / 2, len(tab.taus) - 1} {

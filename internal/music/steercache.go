@@ -33,8 +33,6 @@ type steeringKey struct {
 type steeringTable struct {
 	thetas []float64
 	taus   []float64
-	// phi[i*subAnt+a] = Φ(thetas[i])^a.
-	phi []complex128
 	// omega[j*subSub+s] = Ω(taus[j])^s.
 	omega []complex128
 	// pair[c*len(thetas)+i] = conj(Φ^a)·Φ^b for the c-th antenna pair
@@ -109,12 +107,10 @@ func buildSteeringTable(p Params) *steeringTable {
 		subSub: p.SubarraySubcarriers,
 	}
 	t.nPair = t.subAnt * (t.subAnt - 1) / 2
-	t.phi = make([]complex128, len(t.thetas)*t.subAnt)
 	nt := len(t.thetas)
 	t.pair = make([]complex128, t.nPair*nt)
 	for i, th := range t.thetas {
 		pow := geometricSeries(Phi(th, p.Array, p.Band), t.subAnt)
-		copy(t.phi[i*t.subAnt:], pow)
 		c := 0
 		for a := 0; a < t.subAnt; a++ {
 			for b := a + 1; b < t.subAnt; b++ {

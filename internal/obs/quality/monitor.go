@@ -24,8 +24,6 @@ const defaultRecent = 512
 
 // Config configures a Monitor. The zero value selects all defaults.
 type Config struct {
-	// Score holds the confidence-score scales and weights.
-	Score ScoreConfig
 	// Floor is the SLO threshold: bursts scoring below it increment
 	// spotfi_quality_low_total. 0 selects DefaultFloor; negative disables
 	// the low counter.
@@ -119,15 +117,6 @@ func (m *Monitor) Floor() float64 {
 		return 0
 	}
 	return m.cfg.Floor
-}
-
-// ScoreConfig returns the monitor's score configuration (zero value on a
-// nil receiver — ScoreBurst then applies the defaults).
-func (m *Monitor) ScoreConfig() ScoreConfig {
-	if m == nil {
-		return ScoreConfig{}
-	}
-	return m.cfg.Score
 }
 
 // APBurstScore is one AP's contribution to a recorded burst.

@@ -26,9 +26,6 @@ func TestMonitorNilSafe(t *testing.T) {
 	if f := m.Floor(); f != 0 {
 		t.Fatalf("nil monitor Floor = %v", f)
 	}
-	if c := m.ScoreConfig(); c != (ScoreConfig{}) {
-		t.Fatalf("nil monitor ScoreConfig = %+v", c)
-	}
 }
 
 func TestMonitorMetricsAndFloor(t *testing.T) {

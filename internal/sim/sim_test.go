@@ -39,6 +39,16 @@ func TestCrossLossAccumulates(t *testing.T) {
 	if math.Abs(loss-24) > 1e-9 {
 		t.Fatalf("loss through two walls = %v, want 24", loss)
 	}
+	// NewLink charges the crossing loss to the direct path's gain.
+	cfg := DefaultLinkConfig()
+	link := NewLink(env, AP{Pos: geom.Point{X: 5, Y: 5}}, geom.Point{X: 5, Y: 12}, cfg, rand.New(rand.NewSource(8)))
+	d, ok := link.DirectPath()
+	if !ok {
+		t.Fatal("a 12 dB wall removed the direct path")
+	}
+	if want := cfg.PathLoss.RSSIdBm(7) - 12; math.Abs(d.GainDBm-want) > 1e-9 {
+		t.Fatalf("direct gain behind a 12 dB wall = %v, want %v", d.GainDBm, want)
+	}
 }
 
 func TestFoldAoA(t *testing.T) {
@@ -203,27 +213,6 @@ func TestLinkMinGainFloor(t *testing.T) {
 	link := NewLink(env, ap, geom.Point{X: 5, Y: 0}, cfg, rng)
 	if len(link.Paths) != 0 {
 		t.Fatalf("MinGain floor not enforced: %d paths", len(link.Paths))
-	}
-}
-
-func TestHasStrongDirect(t *testing.T) {
-	env := testEnv()
-	rng := rand.New(rand.NewSource(8))
-	// LoS link in the open area.
-	losLink := NewLink(env, AP{Pos: geom.Point{X: 1, Y: 5}}, geom.Point{X: 8, Y: 5}, DefaultLinkConfig(), rng)
-	if !losLink.HasStrongDirect(3) {
-		t.Fatal("LoS link not classified as strong-direct")
-	}
-	// Blocked link: target on the far side of a 12 dB wall.
-	nlosLink := NewLink(env, AP{Pos: geom.Point{X: 5, Y: 5}}, geom.Point{X: 5, Y: 12}, DefaultLinkConfig(), rng)
-	d, ok := nlosLink.DirectPath()
-	if ok {
-		// Direct survives but attenuated; with a tight margin it is weak
-		// relative to where it would be unobstructed.
-		unobstructed := DefaultLinkConfig().PathLoss.RSSIdBm(nlosLink.AP.Pos.Dist(nlosLink.Target))
-		if d.GainDBm >= unobstructed {
-			t.Fatal("wall did not attenuate the direct path")
-		}
 	}
 }
 

@@ -134,57 +134,3 @@ func (h *Heatmap) SVG() (string, error) {
 	b.WriteString("</svg>\n")
 	return b.String(), nil
 }
-
-// ASCII renders the heatmap as characters, downsampling to at most
-// maxCols × maxRows.
-func (h *Heatmap) ASCII(maxCols, maxRows int) string {
-	ny := len(h.Z)
-	if ny == 0 {
-		return ""
-	}
-	nx := len(h.Z[0])
-	if maxCols < 4 {
-		maxCols = 4
-	}
-	if maxRows < 4 {
-		maxRows = 4
-	}
-	shades := []rune(" .:-=+*#%@")
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, row := range h.Z {
-		for _, v := range row {
-			lo = math.Min(lo, v)
-			hi = math.Max(hi, v)
-		}
-	}
-	if lo == hi { //lint:allow floateq degenerate-range guard: avoids dividing by (hi-lo)==0
-		hi = lo + 1
-	}
-	rows := ny
-	cols := nx
-	if rows > maxRows {
-		rows = maxRows
-	}
-	if cols > maxCols {
-		cols = maxCols
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", h.Title)
-	for r := rows - 1; r >= 0; r-- {
-		i := r * ny / rows
-		for c := 0; c < cols; c++ {
-			j := c * nx / cols
-			t := (h.Z[i][j] - lo) / (hi - lo)
-			idx := int(t * float64(len(shades)-1))
-			if idx < 0 {
-				idx = 0
-			}
-			if idx >= len(shades) {
-				idx = len(shades) - 1
-			}
-			b.WriteRune(shades[idx])
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}

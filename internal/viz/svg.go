@@ -1,7 +1,7 @@
 // Package viz renders the evaluation's figures: CDF line plots as
 // standalone SVG documents (the format of the paper's Figs. 7–9) and MUSIC
-// pseudo-spectrum heatmaps, plus compact ASCII fallbacks for terminals.
-// Everything is generated from scratch — no external plotting stack.
+// pseudo-spectrum heatmaps. Everything is generated from scratch — no
+// external plotting stack.
 package viz
 
 import (
@@ -148,58 +148,6 @@ func (p *LinePlot) SVG() string {
 	}
 	b.WriteString("</svg>\n")
 	return b.String()
-}
-
-// ASCII renders a compact terminal view of the plot (one row per series:
-// a sparkline of Y over the common X range).
-func (p *LinePlot) ASCII(width int) string {
-	if width < 16 {
-		width = 16
-	}
-	marks := []rune("▁▂▃▄▅▆▇█")
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", p.Title)
-	for _, s := range p.Series {
-		if len(s.X) == 0 {
-			continue
-		}
-		minX, maxX := s.X[0], s.X[len(s.X)-1]
-		row := make([]rune, width)
-		for c := 0; c < width; c++ {
-			x := minX + (maxX-minX)*float64(c)/float64(width-1)
-			y := interp(s.X, s.Y, x)
-			idx := int(y * float64(len(marks)-1))
-			if idx < 0 {
-				idx = 0
-			}
-			if idx >= len(marks) {
-				idx = len(marks) - 1
-			}
-			row[c] = marks[idx]
-		}
-		fmt.Fprintf(&b, "%-24s %s\n", s.Label, string(row))
-	}
-	return b.String()
-}
-
-func interp(xs, ys []float64, x float64) float64 {
-	n := len(xs)
-	if x <= xs[0] {
-		return ys[0]
-	}
-	if x >= xs[n-1] {
-		return ys[n-1]
-	}
-	i := sort.SearchFloat64s(xs, x)
-	if i == 0 {
-		return ys[0]
-	}
-	x0, x1 := xs[i-1], xs[i]
-	if x1 == x0 { //lint:allow floateq duplicate-knot guard before dividing by (x1-x0)
-		return ys[i]
-	}
-	f := (x - x0) / (x1 - x0)
-	return ys[i-1]*(1-f) + ys[i]*f
 }
 
 func fmtTick(v float64) string {

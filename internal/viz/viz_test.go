@@ -138,21 +138,6 @@ func TestLinePlotDegenerateRange(t *testing.T) {
 	}
 }
 
-func TestLinePlotASCII(t *testing.T) {
-	p, err := CDFPlot("t", "x", []string{"a"}, [][]float64{{1, 2, 3, 4, 5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := p.ASCII(32)
-	if !strings.Contains(out, "a") {
-		t.Fatal("ASCII missing label")
-	}
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("ASCII lines = %d", len(lines))
-	}
-}
-
 func TestHeatmapSVG(t *testing.T) {
 	h := &Heatmap{
 		Title:  "MUSIC spectrum",
@@ -192,15 +177,6 @@ func TestHeatmapErrors(t *testing.T) {
 	}
 }
 
-func TestHeatmapASCII(t *testing.T) {
-	h := &Heatmap{Title: "t", Z: [][]float64{{0, 1}, {2, 3}}}
-	out := h.ASCII(10, 10)
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 3 { // title + 2 rows
-		t.Fatalf("ASCII lines = %d:\n%s", len(lines), out)
-	}
-}
-
 func TestColorRampEndpoints(t *testing.T) {
 	if colorRamp(0) == colorRamp(1) {
 		t.Fatal("ramp endpoints identical")
@@ -210,20 +186,6 @@ func TestColorRampEndpoints(t *testing.T) {
 	}
 	if colorRamp(-5) != colorRamp(0) || colorRamp(7) != colorRamp(1) {
 		t.Fatal("ramp not clamped")
-	}
-}
-
-func TestInterp(t *testing.T) {
-	xs := []float64{0, 1, 2}
-	ys := []float64{0, 10, 20}
-	if v := interp(xs, ys, 0.5); math.Abs(v-5) > 1e-12 {
-		t.Fatalf("interp(0.5) = %v", v)
-	}
-	if v := interp(xs, ys, -1); v != 0 {
-		t.Fatalf("below range = %v", v)
-	}
-	if v := interp(xs, ys, 9); v != 20 {
-		t.Fatalf("above range = %v", v)
 	}
 }
 
