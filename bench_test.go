@@ -180,11 +180,17 @@ func BenchmarkGram30x32(b *testing.B) {
 	}
 }
 
-func BenchmarkEigHermitian30(b *testing.B) {
-	r := music.SmoothCSI(benchCSI(b), 2, 15).Gram()
+// BenchmarkTopEigen30 times the eigensolve MUSIC runs per packet: the
+// dominant MaxPaths+1 eigenpairs of the 30×30 smoothed-CSI Gram, with the
+// estimator's signal threshold and a reused workspace.
+func BenchmarkTopEigen30(b *testing.B) {
+	p := music.DefaultParams()
+	r := music.SmoothCSI(benchCSI(b), p.SubarrayAntennas, p.SubarraySubcarriers).Gram()
+	var ws cmat.TopEigenWorkspace
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cmat.EigHermitian(r); err != nil {
+		if _, err := cmat.TopEigenInto(r, p.MaxPaths+1, p.EigenThreshold, &ws); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -343,8 +349,8 @@ func BenchmarkAblationSelectionSchemes(b *testing.B) {
 					}
 					perPacket = append(perPacket, paths)
 				}
-				cfg := dpath.DefaultConfig()
-				cfg.Cluster.K = 7
+				cfg := cluster.DefaultConfig()
+				cfg.K = 7
 				res, err := dpath.Identify(perPacket, cfg, rand.New(rand.NewSource(int64(t*100+a))))
 				if err != nil {
 					continue
@@ -382,7 +388,7 @@ func BenchmarkAblationClusterK(b *testing.B) {
 		b.Run(itoa(k), func(b *testing.B) {
 			d := testbed.Office(1)
 			cfg := spotfi.DefaultConfig(d.Bounds)
-			cfg.DPath.Cluster.K = k
+			cfg.Cluster.K = k
 			cfg.Workers = 1
 			loc, err := spotfi.New(cfg, apsOf(d))
 			if err != nil {

@@ -7,9 +7,10 @@
 // BENCH_<runid>.json with per-figure median/p90 error, wall time, and
 // heap-allocation deltas; -compare diffs the run against a committed
 // baseline (BENCH_baseline.json) and exits non-zero on any regression
-// beyond tolerance — the CI bench-baseline gate. Regenerate the committed
-// baseline with -write-baseline after an intentional accuracy or cost
-// change.
+// beyond tolerance — the CI bench-baseline gate. With -only, -compare
+// gates just that figure. Regenerate the committed baseline with
+// -write-baseline (a full run, never with -only) after an intentional
+// accuracy or cost change.
 //
 // Usage:
 //
@@ -105,6 +106,12 @@ func main() {
 	comparePath := flag.String("compare", "", "compare this run against a baseline file; exit 1 on regression")
 	writeBaseline := flag.String("write-baseline", "", "write the machine-readable baseline to this exact path")
 	flag.Parse()
+	if *only != "" && *writeBaseline != "" {
+		// The committed baseline gates every figure; a partial run would
+		// silently drop the others from it.
+		fmt.Fprintln(os.Stderr, "spotfi-bench: -write-baseline needs a full run; drop -only")
+		os.Exit(2)
+	}
 
 	if *svgDir != "" {
 		if err := os.MkdirAll(*svgDir, 0o755); err != nil {
@@ -217,6 +224,9 @@ func main() {
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "spotfi-bench:", err)
 			os.Exit(1)
+		}
+		if *only != "" {
+			base = base.Only(*only)
 		}
 		violations := experiments.Compare(base, baseline, experiments.DefaultTolerance())
 		if len(violations) > 0 {

@@ -16,66 +16,43 @@ import (
 	"spotfi/internal/music"
 )
 
-// Weights are the Eq. 8 scale factors: likelihood_k =
-// exp(WCount·C̄_k − WAoAVar·σ̄θ_k − WToFVar·σ̄τ_k − WToFMean·τ̄_k).
+// The Eq. 8 scale factors: likelihood_k =
+// exp(wCount·C̄_k − wAoAVar·σ̄θ_k − wToFVar·σ̄τ_k − wToFMean·τ̄_k).
 // Variances and the mean ToF are measured in the normalized [0,1] feature
-// space, counts in points.
-type Weights struct {
-	WCount   float64
-	WAoAVar  float64
-	WToFVar  float64
-	WToFMean float64
-}
+// space, so the weights are scale-free; counts are in points. The paper
+// calls them "constants to account for different scales"; these values
+// balance the terms for bursts of 10–170 packets on the simulated testbed.
+const (
+	wCount   = 0.06
+	wAoAVar  = 300
+	wToFVar  = 300
+	wToFMean = 5
+)
 
-// DefaultWeights balances the terms for typical bursts of 10–170 packets.
-// The values were calibrated on the simulated testbed by sweeping each
-// weight against the oracle selection error (see the weight-sensitivity
-// ablation bench).
-func DefaultWeights() Weights {
-	return Weights{WCount: 0.06, WAoAVar: 300, WToFVar: 300, WToFMean: 5}
-}
+// tofWindowS drops per-packet estimates whose ToF is further than this
+// from the burst's median ToF before clustering. Indoor excess path delays
+// are bounded (≈66 ns for 20 m of extra travel), so estimates far outside
+// the bulk are ghost peaks; left in, a repeatable ghost at an extreme ToF
+// both stretches the normalized ToF axis and manufactures a zero-variance
+// "earliest" cluster.
+const tofWindowS = 80e-9
 
-// Score computes the Eq. 8 likelihood of a candidate under weights w, with
-// σ̄ and τ̄ in normalized units so the weights are scale-free:
-// exp(WCount·C̄ − WAoAVar·σ̄θ − WToFVar·σ̄τ − WToFMean·τ̄).
-func (w Weights) Score(c Candidate) float64 {
+// minClusterFrac is the minimum fraction of packets a cluster must cover
+// to be a direct-path candidate (floored at 2 points): a cluster seen in
+// one packet has degenerate zero variance and would otherwise outscore
+// every real path. This implements the paper's count-term insight ("a
+// spurious cluster ... is likely to have [fewer] measurements") as a hard
+// eligibility floor. Ineligible clusters are dropped unless nothing
+// survives.
+const minClusterFrac = 0.2
+
+// score computes the Eq. 8 likelihood of a candidate.
+func score(c Candidate) float64 {
 	return math.Exp(
-		w.WCount*float64(c.Count) -
-			w.WAoAVar*c.AoAVar -
-			w.WToFVar*c.ToFVar -
-			w.WToFMean*c.NormToF)
-}
-
-// Config controls identification.
-type Config struct {
-	Cluster cluster.Config
-	Weights Weights
-	// ToFWindowS drops per-packet estimates whose ToF is further than
-	// this from the burst's median ToF before clustering. Indoor excess
-	// path delays are bounded (≈66 ns for 20 m of extra travel), so
-	// estimates far outside the bulk are ghost peaks; left in, a
-	// repeatable ghost at an extreme ToF both stretches the normalized
-	// ToF axis and manufactures a zero-variance "earliest" cluster.
-	// Zero disables the filter.
-	ToFWindowS float64
-	// MinClusterFrac is the minimum fraction of packets a cluster must
-	// cover to be a direct-path candidate (floored at 2 points): a
-	// cluster seen in one packet has degenerate zero variance and would
-	// otherwise outscore every real path. This implements the paper's
-	// count-term insight ("a spurious cluster ... is likely to have
-	// [fewer] measurements") as a hard eligibility floor. Ineligible
-	// clusters are dropped unless nothing survives.
-	MinClusterFrac float64
-}
-
-// DefaultConfig returns the paper's configuration (5 clusters).
-func DefaultConfig() Config {
-	return Config{
-		Cluster:        cluster.DefaultConfig(),
-		Weights:        DefaultWeights(),
-		ToFWindowS:     80e-9,
-		MinClusterFrac: 0.2,
-	}
+		wCount*float64(c.Count) -
+			wAoAVar*c.AoAVar -
+			wToFVar*c.ToFVar -
+			wToFMean*c.NormToF)
 }
 
 // Candidate is one clustered path hypothesis.
@@ -192,7 +169,7 @@ func (r *Result) Oracle(truthAoA float64) (Candidate, bool) {
 // way (the term would be a common factor), but absolute likelihoods stay
 // comparable with joint (AoA, ToF) runs. MinToF is meaningless on such
 // input: every candidate reports the same ToF.
-func Identify(perPacket [][]music.PathEstimate, cfg Config, rng *rand.Rand) (*Result, error) {
+func Identify(perPacket [][]music.PathEstimate, cfg cluster.Config, rng *rand.Rand) (*Result, error) {
 	var aoas, tofs, powers []float64
 	packets := 0
 	for _, pkt := range perPacket {
@@ -211,25 +188,23 @@ func Identify(perPacket [][]music.PathEstimate, cfg Config, rng *rand.Rand) (*Re
 
 	// Ghost-peak rejection: drop estimates whose ToF is implausibly far
 	// from the burst's bulk. Skipped if it would discard half the data.
-	if cfg.ToFWindowS > 0 {
-		med := medianOf(tofs)
-		var fa, ft, fp []float64
-		for i := range tofs {
-			if math.Abs(tofs[i]-med) <= cfg.ToFWindowS {
-				fa = append(fa, aoas[i])
-				ft = append(ft, tofs[i])
-				fp = append(fp, powers[i])
-			}
+	med := medianOf(tofs)
+	var fa, ft, fp []float64
+	for i := range tofs {
+		if math.Abs(tofs[i]-med) <= tofWindowS {
+			fa = append(fa, aoas[i])
+			ft = append(ft, tofs[i])
+			fp = append(fp, powers[i])
 		}
-		if len(ft)*2 >= len(tofs) {
-			aoas, tofs, powers = fa, ft, fp
-		}
+	}
+	if len(ft)*2 >= len(tofs) {
+		aoas, tofs, powers = fa, ft, fp
 	}
 	pts, norm, err := cluster.Normalize(aoas, tofs)
 	if err != nil {
 		return nil, err
 	}
-	clusters, err := cluster.KMeans(pts, cfg.Cluster, rng)
+	clusters, err := cluster.KMeans(pts, cfg, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -257,25 +232,23 @@ func Identify(perPacket [][]music.PathEstimate, cfg Config, rng *rand.Rand) (*Re
 				cand.MaxPower = powers[m]
 			}
 		}
-		cand.Likelihood = cfg.Weights.Score(cand)
+		cand.Likelihood = score(cand)
 		res.Candidates = append(res.Candidates, cand)
 	}
 
 	// Population floor: a direct-path candidate must recur across packets.
-	if cfg.MinClusterFrac > 0 {
-		minCount := int(math.Ceil(cfg.MinClusterFrac * float64(packets)))
-		if minCount < 2 {
-			minCount = 2
+	minCount := int(math.Ceil(minClusterFrac * float64(packets)))
+	if minCount < 2 {
+		minCount = 2
+	}
+	var kept []Candidate
+	for _, c := range res.Candidates {
+		if c.Count >= minCount {
+			kept = append(kept, c)
 		}
-		var kept []Candidate
-		for _, c := range res.Candidates {
-			if c.Count >= minCount {
-				kept = append(kept, c)
-			}
-		}
-		if len(kept) > 0 {
-			res.Candidates = kept
-		}
+	}
+	if len(kept) > 0 {
+		res.Candidates = kept
 	}
 	sortByLikelihood(res.Candidates)
 	return res, nil

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"spotfi/internal/cluster"
 	"spotfi/internal/geom"
 	"spotfi/internal/music"
 )
@@ -41,7 +42,7 @@ func synthObservations(rng *rand.Rand, packets int) ([][]music.PathEstimate, flo
 func TestIdentifyPicksDirectPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	obs, truth := synthObservations(rng, 40)
-	res, err := Identify(obs, DefaultConfig(), rng)
+	res, err := Identify(obs, cluster.DefaultConfig(), rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestIdentifyPicksDirectPath(t *testing.T) {
 func TestIdentifyCandidatesSorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	obs, _ := synthObservations(rng, 30)
-	res, err := Identify(obs, DefaultConfig(), rng)
+	res, err := Identify(obs, cluster.DefaultConfig(), rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestIdentifyCandidatesSorted(t *testing.T) {
 func TestMinToFSelectsSmallestToF(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	obs, truth := synthObservations(rng, 40)
-	res, err := Identify(obs, DefaultConfig(), rng)
+	res, err := Identify(obs, cluster.DefaultConfig(), rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestMinToFSelectsSmallestToF(t *testing.T) {
 func TestMaxPowerSelectsStrongestPeak(t *testing.T) {
 	rng := rand.New(rand.NewSource(74))
 	obs, truth := synthObservations(rng, 40)
-	res, err := Identify(obs, DefaultConfig(), rng)
+	res, err := Identify(obs, cluster.DefaultConfig(), rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestMaxPowerSelectsStrongestPeak(t *testing.T) {
 func TestOracleSelectsClosest(t *testing.T) {
 	rng := rand.New(rand.NewSource(75))
 	obs, truth := synthObservations(rng, 40)
-	res, err := Identify(obs, DefaultConfig(), rng)
+	res, err := Identify(obs, cluster.DefaultConfig(), rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestIdentifyTightClusterBeatsLooseWithSmallerToF(t *testing.T) {
 			},
 		}
 	}
-	res, err := Identify(obs, DefaultConfig(), rng)
+	res, err := Identify(obs, cluster.DefaultConfig(), rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,10 +169,10 @@ func TestIdentifyTightClusterBeatsLooseWithSmallerToF(t *testing.T) {
 
 func TestIdentifyErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
-	if _, err := Identify(nil, DefaultConfig(), rng); err == nil {
+	if _, err := Identify(nil, cluster.DefaultConfig(), rng); err == nil {
 		t.Fatal("empty observations accepted")
 	}
-	if _, err := Identify([][]music.PathEstimate{{}, {}}, DefaultConfig(), rng); err == nil {
+	if _, err := Identify([][]music.PathEstimate{{}, {}}, cluster.DefaultConfig(), rng); err == nil {
 		t.Fatal("all-empty packets accepted")
 	}
 }
@@ -182,7 +183,7 @@ func TestIdentifySinglePacket(t *testing.T) {
 		{AoA: 0.1, ToF: 10e-9, Power: 5},
 		{AoA: -0.5, ToF: 50e-9, Power: 8},
 	}}
-	res, err := Identify(obs, DefaultConfig(), rng)
+	res, err := Identify(obs, cluster.DefaultConfig(), rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,8 +249,7 @@ func synthAoAOnly(rng *rand.Rand, packets int) ([][]music.PathEstimate, float64)
 func TestIdentifyAoAOnly(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	obs, truth := synthAoAOnly(rng, 40)
-	cfg := DefaultConfig()
-	res, err := Identify(obs, cfg, rng)
+	res, err := Identify(obs, cluster.DefaultConfig(), rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestIdentifyAoAOnly(t *testing.T) {
 		}
 		// With the ToF terms inert, the likelihood must reduce to the
 		// count/AoA-variance form exactly.
-		want := math.Exp(cfg.Weights.WCount*float64(c.Count) - cfg.Weights.WAoAVar*c.AoAVar)
+		want := math.Exp(wCount*float64(c.Count) - wAoAVar*c.AoAVar)
 		if math.Abs(c.Likelihood-want) > 1e-12*want {
 			t.Fatalf("candidate %d likelihood %v, want %v (ToF terms should be inert)", i, c.Likelihood, want)
 		}
@@ -288,7 +288,7 @@ func TestIdentifyAoAOnlyNonzeroConstant(t *testing.T) {
 			pkt[i].ToF = off
 		}
 	}
-	res, err := Identify(obs, DefaultConfig(), rng)
+	res, err := Identify(obs, cluster.DefaultConfig(), rng)
 	if err != nil {
 		t.Fatal(err)
 	}

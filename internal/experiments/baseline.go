@@ -93,6 +93,18 @@ func (b *Baseline) AddFigure(r *Result, wallSeconds float64, allocBytes, allocs 
 	b.Figures[r.ID] = fs
 }
 
+// Only returns a copy of b that holds just figure id (no figures when b
+// lacks it). Comparing a single-figure run against it gates that figure
+// without reporting every figure the run skipped as missing.
+func (b *Baseline) Only(id string) *Baseline {
+	out := *b
+	out.Figures = make(map[string]FigureStats, 1)
+	if fs, ok := b.Figures[id]; ok {
+		out.Figures[id] = fs
+	}
+	return &out
+}
+
 // WriteFile writes the baseline as indented JSON.
 func (b *Baseline) WriteFile(path string) error {
 	data, err := json.MarshalIndent(b, "", "  ")

@@ -101,6 +101,39 @@ func TestCompareFlagsMissingFigureAndSeries(t *testing.T) {
 	}
 }
 
+func TestCompareOnlyGatesOneFigure(t *testing.T) {
+	base, cur := baselinePair()
+	base.AddFigure(&Result{
+		ID:     "fig8b",
+		Series: []Series{{Label: "spotfi", Values: []float64{1, 2, 3}}},
+	}, 1.0, 500_000, 5_000)
+
+	// A full comparison stays strict: the figure the run skipped is lost
+	// coverage.
+	if v := Compare(base, cur, Tolerance{}); len(v) != 1 || !strings.Contains(v[0], "fig8b: missing") {
+		t.Fatalf("full compare violations = %v", v)
+	}
+	// A single-figure run is gated against that figure alone.
+	if v := Compare(base.Only("fig7a"), cur, Tolerance{}); len(v) != 0 {
+		t.Fatalf("single-figure compare violations = %v", v)
+	}
+	if len(base.Figures) != 2 {
+		t.Fatalf("Only changed its receiver: %d figures left", len(base.Figures))
+	}
+	// ...and a regression in it still fails.
+	fig := cur.Figures["fig7a"]
+	s := fig.Series["spotfi"]
+	s.Median *= 3
+	fig.Series["spotfi"] = s
+	if v := Compare(base.Only("fig7a"), cur, Tolerance{}); len(v) != 1 || !strings.Contains(v[0], "fig7a/spotfi: median") {
+		t.Fatalf("regressed single-figure compare violations = %v", v)
+	}
+	// A figure the baseline lacks stays ungated-and-flagged.
+	if v := Compare(base.Only("fig10"), cur, Tolerance{}); len(v) != 1 || !strings.Contains(v[0], "fig7a: not in baseline") {
+		t.Fatalf("unknown-figure compare violations = %v", v)
+	}
+}
+
 func TestCompareRejectsOptsMismatch(t *testing.T) {
 	base, cur := baselinePair()
 	cur.Opts.Packets = 40

@@ -264,7 +264,7 @@ func arrayTrackSynthesisLocalize(d *testbed.Deployment, est *music.AoAEstimator,
 	if len(obs) < 2 {
 		return 0, fmt.Errorf("experiments: only %d usable APs for ArrayTrack synthesis", len(obs))
 	}
-	p, err := locate.LocateArrayTrack(obs, locate.DefaultArrayTrackConfig(d.Bounds))
+	p, err := locate.LocateArrayTrack(obs, d.Bounds)
 	if err != nil {
 		return 0, err
 	}

@@ -129,9 +129,7 @@ func Fig5cClusters(opts Options) (*Result, error) {
 	if len(perPacket) == 0 {
 		return nil, fmt.Errorf("experiments: no packets survived estimation")
 	}
-	cfg := dpath.DefaultConfig()
-	cfg.Cluster = cluster.Config{K: 5, MaxIters: 100, Restarts: 8}
-	res, err := dpath.Identify(perPacket, cfg, burstRNG(opts.Seed, 5, 0))
+	res, err := dpath.Identify(perPacket, cluster.Config{K: 5, MaxIters: 100, Restarts: 8}, burstRNG(opts.Seed, 5, 0))
 	if err != nil {
 		return nil, err
 	}

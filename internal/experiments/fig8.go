@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"spotfi/internal/cluster"
 	"spotfi/internal/dpath"
 	"spotfi/internal/geom"
 	"spotfi/internal/music"
@@ -164,7 +165,7 @@ func Fig8bSelection(opts Options) (*Result, error) {
 					if len(perPacket) == 0 {
 						continue
 					}
-					res, err := dpath.Identify(perPacket, dpath.DefaultConfig(), burstRNG(opts.Seed, 8, t*100+a))
+					res, err := dpath.Identify(perPacket, cluster.DefaultConfig(), burstRNG(opts.Seed, 8, t*100+a))
 					if err != nil {
 						continue
 					}

@@ -44,24 +44,18 @@ func (s *SpectrumObservation) interp(theta float64) float64 {
 	return s.P[lo]*(1-f) + s.P[hi]*f
 }
 
-// ArrayTrackConfig controls the baseline grid search.
-type ArrayTrackConfig struct {
-	Bounds Bounds
-	// CoarseStepM and FineStepM are the two grid resolutions: a coarse
-	// sweep followed by a fine sweep around the coarse maximum.
-	CoarseStepM, FineStepM float64
-}
-
-// DefaultArrayTrackConfig returns the baseline configuration for bounds b.
-func DefaultArrayTrackConfig(b Bounds) ArrayTrackConfig {
-	return ArrayTrackConfig{Bounds: b, CoarseStepM: 0.5, FineStepM: 0.1}
-}
+// The ArrayTrack baseline's two grid resolutions: a coarse sweep over the
+// bounds followed by a fine sweep around the coarse maximum.
+const (
+	coarseStepM = 0.5
+	fineStepM   = 0.1
+)
 
 // LocateArrayTrack implements the ArrayTrack likelihood-synthesis scheme:
 // the location estimate maximizes Σ_i log P_i(θ̄_i(loc)) over the search
 // region, i.e. the product of each AP's MUSIC spectrum evaluated at the
-// bearing that location would produce.
-func LocateArrayTrack(obs []SpectrumObservation, cfg ArrayTrackConfig) (geom.Point, error) {
+// bearing that location would produce, searched over b.
+func LocateArrayTrack(obs []SpectrumObservation, b Bounds) (geom.Point, error) {
 	if len(obs) < 2 {
 		return geom.Point{}, fmt.Errorf("locate: ArrayTrack needs ≥2 APs, got %d", len(obs))
 	}
@@ -70,11 +64,8 @@ func LocateArrayTrack(obs []SpectrumObservation, cfg ArrayTrackConfig) (geom.Poi
 			return geom.Point{}, fmt.Errorf("locate: AP %d has malformed spectrum", i)
 		}
 	}
-	if cfg.Bounds.MinX >= cfg.Bounds.MaxX || cfg.Bounds.MinY >= cfg.Bounds.MaxY {
+	if b.MinX >= b.MaxX || b.MinY >= b.MaxY {
 		return geom.Point{}, fmt.Errorf("locate: empty bounds")
-	}
-	if cfg.CoarseStepM <= 0 || cfg.FineStepM <= 0 {
-		return geom.Point{}, fmt.Errorf("locate: grid steps must be positive")
 	}
 
 	score := func(p geom.Point) float64 {
@@ -90,10 +81,10 @@ func LocateArrayTrack(obs []SpectrumObservation, cfg ArrayTrackConfig) (geom.Poi
 		return s
 	}
 
-	best := geom.Point{X: cfg.Bounds.MinX, Y: cfg.Bounds.MinY}
+	best := geom.Point{X: b.MinX, Y: b.MinY}
 	bestScore := math.Inf(-1)
-	for x := cfg.Bounds.MinX; x <= cfg.Bounds.MaxX; x += cfg.CoarseStepM {
-		for y := cfg.Bounds.MinY; y <= cfg.Bounds.MaxY; y += cfg.CoarseStepM {
+	for x := b.MinX; x <= b.MaxX; x += coarseStepM {
+		for y := b.MinY; y <= b.MaxY; y += coarseStepM {
 			p := geom.Point{X: x, Y: y}
 			if s := score(p); s > bestScore {
 				best, bestScore = p, s
@@ -102,13 +93,13 @@ func LocateArrayTrack(obs []SpectrumObservation, cfg ArrayTrackConfig) (geom.Poi
 	}
 	// Fine sweep around the coarse maximum.
 	fineBounds := Bounds{
-		MinX: math.Max(cfg.Bounds.MinX, best.X-cfg.CoarseStepM),
-		MaxX: math.Min(cfg.Bounds.MaxX, best.X+cfg.CoarseStepM),
-		MinY: math.Max(cfg.Bounds.MinY, best.Y-cfg.CoarseStepM),
-		MaxY: math.Min(cfg.Bounds.MaxY, best.Y+cfg.CoarseStepM),
+		MinX: math.Max(b.MinX, best.X-coarseStepM),
+		MaxX: math.Min(b.MaxX, best.X+coarseStepM),
+		MinY: math.Max(b.MinY, best.Y-coarseStepM),
+		MaxY: math.Min(b.MaxY, best.Y+coarseStepM),
 	}
-	for x := fineBounds.MinX; x <= fineBounds.MaxX; x += cfg.FineStepM {
-		for y := fineBounds.MinY; y <= fineBounds.MaxY; y += cfg.FineStepM {
+	for x := fineBounds.MinX; x <= fineBounds.MaxX; x += fineStepM {
+		for y := fineBounds.MinY; y <= fineBounds.MaxY; y += fineStepM {
 			p := geom.Point{X: x, Y: y}
 			if s := score(p); s > bestScore {
 				best, bestScore = p, s

@@ -1,7 +1,7 @@
 // Package locate implements SpotFi's localization stage (paper Sec. 3.3):
 // given each AP's direct-path AoA, likelihood weight, and observed RSSI, it
 // finds the target location minimizing the likelihood-weighted least-squares
-// objective of Eq. 9 jointly with the path loss model parameters, using the
+// objective of Eq. 9 jointly with the path loss intercept, using the
 // multi-start linearize-and-descend scheme the paper calls sequential convex
 // optimization. It also implements the ArrayTrack-style baseline localizer
 // (spectrum-synthesis triangulation) the evaluation compares against.
@@ -53,67 +53,49 @@ func (b Bounds) Clamp(p geom.Point) geom.Point {
 type Config struct {
 	// Bounds is the search region (the floor plan extent).
 	Bounds Bounds
-	// PathLoss is the initial path loss model; its intercept P0 is
-	// re-fitted each iteration (the "path loss model parameters" of
-	// Algorithm 2 line 12).
-	PathLoss rf.PathLoss
-	// FitIntercept re-estimates P0 from the observations at every
-	// iterate. Disable only for ablation.
+	// FitIntercept re-estimates the path loss intercept P0 of the
+	// rf.DefaultPathLoss prior from the observations at every iterate (the
+	// "path loss model parameters" of Algorithm 2 line 12). The exponent
+	// stays at the prior.
 	FitIntercept bool
-	// FitExponent additionally re-estimates the path loss exponent n by
-	// weighted regression at every iterate (Algorithm 2 line 12 lists the
-	// "path loss model parameters" among the optimization variables).
-	// Needs ≥3 usable APs at distinct distances to be identifiable; with
-	// fewer the exponent stays at its prior.
-	FitExponent bool
-	// AoAWeightRad2 and RSSIWeightDB2 scale the two residual classes of
-	// Eq. 9 onto a common footing (AoA residuals are radians, RSSI
-	// residuals dB).
-	AoAWeightRad2, RSSIWeightDB2 float64
-	// GridStepM is the coarse multi-start grid pitch.
-	GridStepM float64
-	// Starts is how many best coarse cells seed descent.
-	Starts int
-	// MaxIters bounds descent iterations per start.
-	MaxIters int
+	// RSSIWeightDB2 scales the RSSI residuals of Eq. 9 (dB) onto the
+	// footing of the AoA residuals (radians, weight aoaWeightRad2). Zero
+	// localizes from bearings alone.
+	RSSIWeightDB2 float64
 	// RobustRounds applies iteratively-reweighted least squares after the
 	// first solve: each round scales every AP's likelihood by
-	// 1/(1+(AoA residual/RobustScaleRad)²) and re-solves, so an AP whose
+	// 1/(1+(AoA residual/robustScaleRad)²) and re-solves, so an AP whose
 	// selected "direct path" disagrees wildly with the consensus location
 	// is suppressed — the paper's intuition that low-confidence APs
 	// "effectively not be considered" (Sec. 4.4.3). 0 disables.
 	RobustRounds int
-	// RobustScaleRad is the AoA residual scale of the reweighting.
-	RobustScaleRad float64
-	// GeometryAdaptiveRSSI scales the RSSI weight up when the AP layout
-	// is nearly collinear (e.g. a corridor with APs along one wall):
-	// bearings from collinear APs are nearly parallel, so angle-only
-	// localization is ill-conditioned along the array axis and range
-	// information must carry the estimate. The multiplier is
-	// 1 + 7·(1−ρ)⁶ where ρ is the eigenvalue ratio (minor/major) of the
-	// AP-position covariance: isotropic layouts (ρ→1) are unaffected,
-	// collinear ones (ρ→0) get an 8× boost.
-	GeometryAdaptiveRSSI bool
 }
+
+// Solver constants.
+const (
+	// aoaWeightRad2 weights the AoA residuals of Eq. 9.
+	aoaWeightRad2 = 1
+	// gridStepM is the coarse multi-start grid pitch.
+	gridStepM = 1.0
+	// starts is how many best coarse cells seed descent.
+	starts = 5
+	// maxIters bounds descent iterations per start.
+	maxIters = 60
+	// robustScaleRad is the AoA residual scale of the robust reweighting.
+	robustScaleRad = 0.15
+)
 
 // DefaultConfig returns a localizer configuration for bounds b.
 func DefaultConfig(b Bounds) Config {
 	return Config{
-		Bounds:        b,
-		PathLoss:      rf.DefaultPathLoss(),
-		FitIntercept:  true,
-		AoAWeightRad2: 1,
+		Bounds:       b,
+		FitIntercept: true,
 		// RSSI deviates from the log-distance model by several dB under
 		// multipath fading, so it acts as a weak prior: 20 dB of RSSI
 		// error ≙ 1 rad of AoA error. Eq. 9 weights both classes; the
 		// paper leaves the relative scale as an implementation choice.
-		RSSIWeightDB2:        1.0 / 400.0,
-		GridStepM:            1.0,
-		Starts:               5,
-		MaxIters:             60,
-		RobustRounds:         2,
-		RobustScaleRad:       0.15,
-		GeometryAdaptiveRSSI: true,
+		RSSIWeightDB2: 1.0 / 400.0,
+		RobustRounds:  2,
 	}
 }
 
@@ -122,14 +104,8 @@ func (c Config) Validate() error {
 	if c.Bounds.MinX >= c.Bounds.MaxX || c.Bounds.MinY >= c.Bounds.MaxY {
 		return fmt.Errorf("locate: empty bounds %+v", c.Bounds)
 	}
-	if c.GridStepM <= 0 {
-		return fmt.Errorf("locate: grid step must be positive")
-	}
-	if c.Starts < 1 || c.MaxIters < 1 {
-		return fmt.Errorf("locate: Starts and MaxIters must be ≥ 1")
-	}
-	if c.AoAWeightRad2 < 0 || c.RSSIWeightDB2 < 0 || c.AoAWeightRad2+c.RSSIWeightDB2 == 0 {
-		return fmt.Errorf("locate: residual weights must be non-negative and not both zero")
+	if c.RSSIWeightDB2 < 0 {
+		return fmt.Errorf("locate: RSSI weight must be non-negative")
 	}
 	return nil
 }
@@ -182,9 +158,11 @@ func Locate(obs []APObservation, cfg Config) (Result, error) {
 		return Result{}, fmt.Errorf("locate: need ≥2 APs with positive likelihood, got %d", usable)
 	}
 
-	if cfg.GeometryAdaptiveRSSI {
-		cfg.RSSIWeightDB2 *= rssiGeometryBoost(obs)
-	}
+	// Nearly collinear AP layouts (e.g. a corridor with APs along one
+	// wall) give nearly parallel bearings, so angle-only localization is
+	// ill-conditioned along the array axis and range information must
+	// carry the estimate.
+	cfg.RSSIWeightDB2 *= rssiGeometryBoost(obs)
 
 	// Normalize likelihoods so the objective scale is comparable across
 	// bursts (Eq. 9 is invariant to a common factor).
@@ -206,13 +184,13 @@ func Locate(obs []APObservation, cfg Config) (Result, error) {
 		f float64
 	}
 	var seeds []seed
-	model := cfg.PathLoss
-	for x := cfg.Bounds.MinX + cfg.GridStepM/2; x <= cfg.Bounds.MaxX; x += cfg.GridStepM {
-		for y := cfg.Bounds.MinY + cfg.GridStepM/2; y <= cfg.Bounds.MaxY; y += cfg.GridStepM {
+	model := rf.DefaultPathLoss()
+	for x := cfg.Bounds.MinX + gridStepM/2; x <= cfg.Bounds.MaxX; x += gridStepM {
+		for y := cfg.Bounds.MinY + gridStepM/2; y <= cfg.Bounds.MaxY; y += gridStepM {
 			p := geom.Point{X: x, Y: y}
 			m := model
 			if cfg.FitIntercept {
-				m = refitModel(normObs, p, model, cfg.FitExponent)
+				m = refitModel(normObs, p)
 			}
 			seeds = append(seeds, seed{p, objective(normObs, p, m, cfg)})
 		}
@@ -220,8 +198,8 @@ func Locate(obs []APObservation, cfg Config) (Result, error) {
 	if len(seeds) == 0 {
 		return Result{}, fmt.Errorf("locate: empty search grid")
 	}
-	// Partial selection of the best cfg.Starts seeds.
-	nStarts := cfg.Starts
+	// Partial selection of the best seeds.
+	nStarts := starts
 	if nStarts > len(seeds) {
 		nStarts = len(seeds)
 	}
@@ -251,10 +229,6 @@ func Locate(obs []APObservation, cfg Config) (Result, error) {
 	// Robust refinement: suppress APs whose AoA disagrees with the
 	// consensus and re-solve from the current estimate.
 	for round := 0; round < cfg.RobustRounds; round++ {
-		scale := cfg.RobustScaleRad
-		if scale <= 0 {
-			break
-		}
 		rw := make([]APObservation, len(normObs))
 		copy(rw, normObs)
 		usable = 0
@@ -263,7 +237,7 @@ func Locate(obs []APObservation, cfg Config) (Result, error) {
 				continue
 			}
 			res := geom.NormalizeAngle(predictAoA(rw[i], bestRes.Location) - rw[i].AoA)
-			rw[i].Likelihood /= 1 + (res/scale)*(res/scale)
+			rw[i].Likelihood /= 1 + (res/robustScaleRad)*(res/robustScaleRad)
 			usable++
 		}
 		if usable < 2 {
@@ -289,7 +263,8 @@ func Locate(obs []APObservation, cfg Config) (Result, error) {
 
 // rssiGeometryBoost returns the RSSI-weight multiplier 1 + 7·(1−ρ)⁶ from
 // the anisotropy ρ of the AP layout (minor/major eigenvalue ratio of the
-// AP-position covariance).
+// AP-position covariance): isotropic layouts (ρ→1) are unaffected,
+// collinear ones (ρ→0) get an 8× boost.
 func rssiGeometryBoost(obs []APObservation) float64 {
 	if len(obs) < 2 {
 		return 1
@@ -338,19 +313,17 @@ func objective(obs []APObservation, p geom.Point, m rf.PathLoss, cfg Config) flo
 		}
 		dAoA := geom.NormalizeAngle(predictAoA(o, p) - o.AoA)
 		dRSSI := m.RSSIdBm(p.Dist(o.Pos)) - o.RSSIdBm
-		sum += o.Likelihood * (cfg.AoAWeightRad2*dAoA*dAoA + cfg.RSSIWeightDB2*dRSSI*dRSSI)
+		sum += o.Likelihood * (aoaWeightRad2*dAoA*dAoA + cfg.RSSIWeightDB2*dRSSI*dRSSI)
 	}
 	return sum
 }
 
-// refitModel returns model with its free parameters set to their weighted
-// least-squares optimum for a target at p. With fitExponent false only the
-// intercept P0 moves; otherwise (P0, n) are jointly regressed on
-// x = −10·log10(d/d0) when at least three usable APs span distinct
-// distances.
-func refitModel(obs []APObservation, p geom.Point, model rf.PathLoss, fitExponent bool) rf.PathLoss {
-	var sw, swx, swy, swxx, swxy float64
-	n := 0
+// refitModel returns the rf.DefaultPathLoss prior with its intercept P0
+// set to the weighted least-squares optimum for a target at p: the
+// weighted mean of rssi − n·x over x = −10·log10(d/d0).
+func refitModel(obs []APObservation, p geom.Point) rf.PathLoss {
+	model := rf.DefaultPathLoss()
+	var sw, swx, swy float64
 	for _, o := range obs {
 		if o.Likelihood <= 0 {
 			continue
@@ -364,26 +337,10 @@ func refitModel(obs []APObservation, p geom.Point, model rf.PathLoss, fitExponen
 		sw += w
 		swx += w * x
 		swy += w * o.RSSIdBm
-		swxx += w * x * x
-		swxy += w * x * o.RSSIdBm
-		n++
 	}
 	if sw <= 0 {
 		return model
 	}
-	if fitExponent && n >= 3 {
-		den := sw*swxx - swx*swx
-		if math.Abs(den) > 1e-9 {
-			slope := (sw*swxy - swx*swy) / den
-			// Keep the exponent physical: free space to dense indoor.
-			if slope >= 1.5 && slope <= 6 {
-				model.Exponent = slope
-				model.P0dBm = (swy - slope*swx) / sw
-				return model
-			}
-		}
-	}
-	// Intercept only: P0 = weighted mean of (rssi − n·x).
 	model.P0dBm = (swy - model.Exponent*swx) / sw
 	return model
 }
@@ -391,16 +348,16 @@ func refitModel(obs []APObservation, p geom.Point, model rf.PathLoss, fitExponen
 // descend runs damped Gauss–Newton with numerical Jacobians from start.
 func descend(obs []APObservation, start geom.Point, cfg Config) Result {
 	p := start
-	model := cfg.PathLoss
+	model := rf.DefaultPathLoss()
 	if cfg.FitIntercept {
-		model = refitModel(obs, p, model, cfg.FitExponent)
+		model = refitModel(obs, p)
 	}
 	f := objective(obs, p, model, cfg)
 	lambda := 1e-3
 	iters := 0
 	const h = 1e-4 // meters, for central differences
 
-	for iter := 0; iter < cfg.MaxIters; iter++ {
+	for iter := 0; iter < maxIters; iter++ {
 		iters++
 		// Gradient and Gauss–Newton Hessian approximation from residuals.
 		var g [2]float64
@@ -410,7 +367,7 @@ func descend(obs []APObservation, start geom.Point, cfg Config) Result {
 				continue
 			}
 			// Two residuals per AP: rA = √(l·wA)·Δθ, rP = √(l·wP)·ΔRSSI.
-			wA := math.Sqrt(o.Likelihood * cfg.AoAWeightRad2)
+			wA := math.Sqrt(o.Likelihood * aoaWeightRad2)
 			wP := math.Sqrt(o.Likelihood * cfg.RSSIWeightDB2)
 			rA := func(q geom.Point) float64 {
 				return wA * geom.NormalizeAngle(predictAoA(o, q)-o.AoA)
@@ -447,7 +404,7 @@ func descend(obs []APObservation, start geom.Point, cfg Config) Result {
 			cand := cfg.Bounds.Clamp(geom.Point{X: p.X + dx, Y: p.Y + dy})
 			candModel := model
 			if cfg.FitIntercept {
-				candModel = refitModel(obs, cand, cfg.PathLoss, cfg.FitExponent)
+				candModel = refitModel(obs, cand)
 			}
 			fc := objective(obs, cand, candModel, cfg)
 			if fc < f {

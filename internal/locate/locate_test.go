@@ -179,13 +179,13 @@ func TestLocateErrors(t *testing.T) {
 		t.Fatal("NaN AoA accepted")
 	}
 	bad := cfg
-	bad.GridStepM = 0
+	bad.RSSIWeightDB2 = -1
 	two := []APObservation{
 		{Pos: geom.Point{X: 0, Y: 0}, Likelihood: 1},
 		{Pos: geom.Point{X: 1, Y: 0}, Likelihood: 1},
 	}
 	if _, err := Locate(two, bad); err == nil {
-		t.Fatal("zero grid step accepted")
+		t.Fatal("negative RSSI weight accepted")
 	}
 	badB := cfg
 	badB.Bounds = Bounds{MinX: 5, MaxX: 5, MinY: 0, MaxY: 1}
@@ -224,7 +224,7 @@ func TestLocateArrayTrackRecoversTarget(t *testing.T) {
 		peak := foldAoA(truth.Sub(aps[i]).Angle() - normals[i])
 		obs = append(obs, gaussianSpectrum(aps[i], normals[i], peak, geom.Rad(4)))
 	}
-	got, err := LocateArrayTrack(obs, DefaultArrayTrackConfig(testBounds))
+	got, err := LocateArrayTrack(obs, testBounds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestLocateArrayTrackWrongPeakPullsEstimate(t *testing.T) {
 		}
 		obs = append(obs, gaussianSpectrum(aps[i], normals[i], peak, geom.Rad(4)))
 	}
-	got, err := LocateArrayTrack(obs, DefaultArrayTrackConfig(testBounds))
+	got, err := LocateArrayTrack(obs, testBounds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,23 +257,20 @@ func TestLocateArrayTrackWrongPeakPullsEstimate(t *testing.T) {
 }
 
 func TestLocateArrayTrackErrors(t *testing.T) {
-	cfg := DefaultArrayTrackConfig(testBounds)
-	if _, err := LocateArrayTrack(nil, cfg); err == nil {
+	if _, err := LocateArrayTrack(nil, testBounds); err == nil {
 		t.Fatal("no APs accepted")
 	}
 	s := gaussianSpectrum(geom.Point{X: 0, Y: 0}, 0, 0, 0.1)
-	if _, err := LocateArrayTrack([]SpectrumObservation{s}, cfg); err == nil {
+	if _, err := LocateArrayTrack([]SpectrumObservation{s}, testBounds); err == nil {
 		t.Fatal("single AP accepted")
 	}
 	malformed := s
 	malformed.P = malformed.P[:3]
-	if _, err := LocateArrayTrack([]SpectrumObservation{s, malformed}, cfg); err == nil {
+	if _, err := LocateArrayTrack([]SpectrumObservation{s, malformed}, testBounds); err == nil {
 		t.Fatal("malformed spectrum accepted")
 	}
-	bad := cfg
-	bad.CoarseStepM = 0
-	if _, err := LocateArrayTrack([]SpectrumObservation{s, s}, bad); err == nil {
-		t.Fatal("zero step accepted")
+	if _, err := LocateArrayTrack([]SpectrumObservation{s, s}, Bounds{MinX: 5, MaxX: 5, MinY: 0, MaxY: 1}); err == nil {
+		t.Fatal("empty bounds accepted")
 	}
 }
 
@@ -298,7 +295,8 @@ func TestSpectrumInterp(t *testing.T) {
 
 func TestLocateFitsExponent(t *testing.T) {
 	// Observations generated with exponent 2.2 while the localizer's prior
-	// is 3.0: exponent fitting must absorb the mismatch.
+	// is 3.0: only the intercept is fitted, so the exponent must stay at
+	// the prior (AoA still anchors the location).
 	aps, normals := defaultAPs()
 	truth := geom.Point{X: 11, Y: 3}
 	trueModel := rf.PathLoss{P0dBm: -40, Exponent: 2.2, RefDistM: 1}
@@ -313,45 +311,14 @@ func TestLocateFitsExponent(t *testing.T) {
 		}
 	}
 	cfg := DefaultConfig(testBounds)
-	cfg.FitExponent = true
-	// Make RSSI matter so the fit is exercised.
+	// Make RSSI matter so the intercept fit is exercised.
 	cfg.RSSIWeightDB2 = 1.0 / 50
-	cfg.GeometryAdaptiveRSSI = false
 	res, err := Locate(obs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := res.Location.Dist(truth); d > 0.15 {
-		t.Fatalf("error %v m with exponent fitting", d)
-	}
-	if math.Abs(res.PathLoss.Exponent-2.2) > 0.2 {
-		t.Fatalf("fitted exponent %v, want ≈2.2", res.PathLoss.Exponent)
-	}
-	// Without exponent fitting the same mismatch leaves residual error in
-	// the model (though AoA still anchors the location).
-	cfg.FitExponent = false
-	res2, err := Locate(obs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res2.PathLoss.Exponent-3.0) > 1e-9 {
-		t.Fatalf("exponent moved without FitExponent: %v", res2.PathLoss.Exponent)
-	}
-}
-
-func TestRefitModelGuardsUnphysicalExponent(t *testing.T) {
-	// Two APs at nearly equal distances: the slope is unidentifiable and
-	// the regression must fall back to intercept-only.
-	obs := []APObservation{
-		{Pos: geom.Point{X: 0, Y: 0}, RSSIdBm: -50, Likelihood: 1},
-		{Pos: geom.Point{X: 10, Y: 0}, RSSIdBm: -90, Likelihood: 1},
-		{Pos: geom.Point{X: 0, Y: 10}, RSSIdBm: -20, Likelihood: 1},
-	}
-	p := geom.Point{X: 5, Y: 5} // all three APs ≈ equidistant
-	model := rf.DefaultPathLoss()
-	got := refitModel(obs, p, model, true)
-	if got.Exponent != model.Exponent {
-		t.Fatalf("degenerate geometry changed exponent to %v", got.Exponent)
+	if math.Abs(res.PathLoss.Exponent-3.0) > 1e-9 {
+		t.Fatalf("exponent moved off the prior: %v", res.PathLoss.Exponent)
 	}
 }
 

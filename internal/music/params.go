@@ -44,14 +44,16 @@ type Params struct {
 	// ToFGridS steps, about CoarseGridFactor² times cheaper. 0 and 1 both
 	// sweep the configured grid.
 	CoarseGridFactor int
-	// DedupeAoARad and DedupeToFS are the physical merge radii for
-	// near-duplicate spectrum peaks: a peak within both radii of a
-	// stronger one is dropped. Zero selects 1.5× the corresponding grid
-	// step (the historical behavior, which made the surviving peak set
-	// depend on grid resolution).
-	DedupeAoARad float64
-	DedupeToFS   float64
 }
+
+// dedupeAoARad and dedupeToFS are the physical merge radii for
+// near-duplicate spectrum peaks: a peak within both radii of a stronger
+// one is dropped. They do not scale with the grid step, so the surviving
+// peak set does not depend on grid resolution.
+const (
+	dedupeAoARad = 1.5 * math.Pi / 180
+	dedupeToFS   = 3e-9
+)
 
 // DefaultParams returns the estimator configuration matching the paper's
 // prototype: 2×15 smoothing window, 1° AoA grid, 2 ns ToF grid over
@@ -70,8 +72,6 @@ func DefaultParams() Params {
 		EigenThreshold:      0.015,
 		MaxPaths:            5,
 		CoarseGridFactor:    1,
-		DedupeAoARad:        1.5 * math.Pi / 180,
-		DedupeToFS:          3e-9,
 	}
 }
 
@@ -107,9 +107,6 @@ func (p Params) Validate() error {
 	if p.CoarseGridFactor < 0 {
 		return fmt.Errorf("music: CoarseGridFactor %d must be ≥ 0", p.CoarseGridFactor)
 	}
-	if p.DedupeAoARad < 0 || p.DedupeToFS < 0 {
-		return fmt.Errorf("music: dedupe radii must be ≥ 0")
-	}
 	return nil
 }
 
@@ -121,21 +118,6 @@ func (p Params) sweepGrid() Params {
 		p.ToFGridS *= float64(k)
 	}
 	return p
-}
-
-// dedupeRadii resolves the peak-merge radii, falling back to 1.5× the grid
-// step for unset axes.
-//
-//spotfi:noalloc
-func (p Params) dedupeRadii() (aoaRad, tofS float64) {
-	aoaRad, tofS = p.DedupeAoARad, p.DedupeToFS
-	if aoaRad == 0 {
-		aoaRad = 1.5 * p.AoAGridRad
-	}
-	if tofS == 0 {
-		tofS = 1.5 * p.ToFGridS
-	}
-	return aoaRad, tofS
 }
 
 // PathEstimate is one resolved propagation path.

@@ -39,8 +39,6 @@ type Estimator struct {
 	// thetas and taus alias the shared table's grids (read-only).
 	thetas []float64
 	taus   []float64
-	// rTheta and rTau are the resolved peak-merge radii.
-	rTheta, rTau float64
 
 	// Workspace arenas, reused across calls. Everything below is reset or
 	// overwritten by each estimate; nothing escapes to callers.
@@ -79,7 +77,7 @@ func NewEstimator(p Params) (*Estimator, error) {
 	g := p.sweepGrid()
 	tab := lookupSteeringTable(g)
 	nt, nu := len(tab.thetas), len(tab.taus)
-	e := &Estimator{
+	return &Estimator{
 		p:       p,
 		tab:     tab,
 		thetas:  tab.thetas,
@@ -88,9 +86,7 @@ func NewEstimator(p Params) (*Estimator, error) {
 		colQ:    make([]complex128, tab.nPair),
 		specP:   make([]float64, nt*nu),
 		scratch: make([]PathEstimate, 0, 32),
-	}
-	e.rTheta, e.rTau = g.dedupeRadii()
-	return e, nil
+	}, nil
 }
 
 // Params returns the estimator configuration.
@@ -278,7 +274,7 @@ func (e *Estimator) findPeaks(count int) []PathEstimate {
 		}
 	}
 	sortPeaksByPower(peaks)
-	peaks = dedupePeaks(peaks, e.rTheta, e.rTau)
+	peaks = dedupePeaks(peaks)
 	if len(peaks) > count {
 		peaks = peaks[:count]
 	}
@@ -351,12 +347,12 @@ func gridPoints(start, stop, step float64) []float64 {
 	return out
 }
 
-// dedupePeaks drops peaks within both physical merge radii of a stronger
-// one (plateaus produce runs of near-equal "peaks"). peaks must be sorted
+// dedupePeaks drops peaks within both physical merge radii (dedupeAoARad,
+// dedupeToFS) of a stronger one (plateaus produce runs of near-equal "peaks"). peaks must be sorted
 // by descending power; the filter compacts in place.
 //
 //spotfi:noalloc
-func dedupePeaks(peaks []PathEstimate, rTheta, rTau float64) []PathEstimate {
+func dedupePeaks(peaks []PathEstimate) []PathEstimate {
 	if len(peaks) < 2 {
 		return peaks
 	}
@@ -364,7 +360,7 @@ func dedupePeaks(peaks []PathEstimate, rTheta, rTau float64) []PathEstimate {
 	for _, p := range peaks {
 		dup := false
 		for _, kept := range out {
-			if math.Abs(p.AoA-kept.AoA) <= rTheta && math.Abs(p.ToF-kept.ToF) <= rTau {
+			if math.Abs(p.AoA-kept.AoA) <= dedupeAoARad && math.Abs(p.ToF-kept.ToF) <= dedupeToFS {
 				dup = true
 				break
 			}

@@ -26,62 +26,36 @@ func DriftMetrics() []string {
 	return []string{MetricAoAResid, MetricSTOSlope, MetricMargin}
 }
 
-// DriftConfig controls the per-AP rolling-window drift detector. The zero
-// value selects DefaultDriftConfig.
-type DriftConfig struct {
-	// Alpha is the EWMA smoothing factor for baselines and variances
-	// (0 < Alpha ≤ 1; smaller is smoother).
-	Alpha float64
-	// ZThreshold is the |z|-score beyond which an observation breaches
-	// its baseline.
-	ZThreshold float64
-	// Warmup is how many bursts per AP only feed the baselines before
-	// breach detection arms. Baselines learned from one or two bursts
-	// have meaningless variances.
-	Warmup int
-	// HealthAlpha smooths the per-AP health score (EWMA over the per-AP
+// Drift-detector constants.
+const (
+	// driftAlpha is the EWMA smoothing factor for baselines and variances
+	// (0 < driftAlpha ≤ 1; smaller is smoother).
+	driftAlpha = 0.15
+	// driftZThreshold is the |z|-score beyond which an observation
+	// breaches its baseline.
+	driftZThreshold = 4
+	// driftWarmup is how many bursts per AP only feed the baselines before
+	// breach detection arms. Baselines learned from one or two bursts have
+	// meaningless variances.
+	driftWarmup = 5
+	// healthAlpha smooths the per-AP health score (EWMA over the per-AP
 	// confidence and the breach rate).
-	HealthAlpha float64
-	// MinSigma floors the baseline standard deviation of each metric so
-	// a near-constant observable (variance → 0) does not turn numeric
-	// noise into breaches. Keyed by metric name; metrics without an
-	// entry use no floor.
-	MinSigma map[string]float64
-}
+	healthAlpha = 0.2
+)
 
-// DefaultDriftConfig returns the default drift-detection parameters.
-func DefaultDriftConfig() DriftConfig {
-	return DriftConfig{
-		Alpha:       0.15,
-		ZThreshold:  4,
-		Warmup:      5,
-		HealthAlpha: 0.2,
-		MinSigma: map[string]float64{
-			MetricAoAResid: 0.01, // ~0.6°
-			MetricSTOSlope: 1,    // 1 ns
-			MetricMargin:   0.02,
-		},
+// driftMinSigma floors the baseline standard deviation of each metric so a
+// near-constant observable (variance → 0) does not turn numeric noise into
+// breaches.
+func driftMinSigma(metric string) float64 {
+	switch metric {
+	case MetricAoAResid:
+		return 0.01 // ~0.6°
+	case MetricSTOSlope:
+		return 1 // 1 ns
+	case MetricMargin:
+		return 0.02
 	}
-}
-
-func (c DriftConfig) fill() DriftConfig {
-	d := DefaultDriftConfig()
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = d.Alpha
-	}
-	if c.ZThreshold <= 0 {
-		c.ZThreshold = d.ZThreshold
-	}
-	if c.Warmup <= 0 {
-		c.Warmup = d.Warmup
-	}
-	if c.HealthAlpha <= 0 || c.HealthAlpha > 1 {
-		c.HealthAlpha = d.HealthAlpha
-	}
-	if c.MinSigma == nil {
-		c.MinSigma = d.MinSigma
-	}
-	return c
+	return 0
 }
 
 // ewma is an exponentially-weighted mean/variance pair.
@@ -129,12 +103,11 @@ type apState struct {
 // driftDetector tracks per-AP baselines. Not safe for concurrent use; the
 // Monitor serializes access under its mutex.
 type driftDetector struct {
-	cfg DriftConfig
 	aps map[int]*apState
 }
 
-func newDriftDetector(cfg DriftConfig) *driftDetector {
-	return &driftDetector{cfg: cfg.fill(), aps: make(map[int]*apState)}
+func newDriftDetector() *driftDetector {
+	return &driftDetector{aps: make(map[int]*apState)}
 }
 
 // observe folds one AP's burst observables in and returns how many of the
@@ -159,7 +132,7 @@ func (d *driftDetector) observe(ap APScore, now time.Time) int {
 		MetricMargin:   ap.Inputs.Margin,
 	}
 	breached := 0
-	armed := st.bursts > d.cfg.Warmup
+	armed := st.bursts > driftWarmup
 	for name, x := range obs {
 		if math.IsNaN(x) {
 			continue
@@ -169,9 +142,9 @@ func (d *driftDetector) observe(ap APScore, now time.Time) int {
 			e = &ewma{}
 			st.baselines[name] = e
 		}
-		z := e.observe(x, d.cfg.Alpha, d.cfg.MinSigma[name])
+		z := e.observe(x, driftAlpha, driftMinSigma(name))
 		st.lastZ[name] = z
-		if armed && math.Abs(z) > d.cfg.ZThreshold {
+		if armed && math.Abs(z) > driftZThreshold {
 			st.breaches[name]++
 			breached++
 		}
@@ -181,10 +154,9 @@ func (d *driftDetector) observe(ap APScore, now time.Time) int {
 	// miscalibrated AP scores low from burst one, with or without
 	// baseline breaches) with the breach rate (a healthy-looking AP that
 	// suddenly drifts breaches before its score EWMA catches up).
-	a := d.cfg.HealthAlpha
-	st.scoreEWMA += a * (ap.Score - st.scoreEWMA)
+	st.scoreEWMA += healthAlpha * (ap.Score - st.scoreEWMA)
 	frac := float64(breached) / float64(len(obs))
-	st.breachEW += a * (frac - st.breachEW)
+	st.breachEW += healthAlpha * (frac - st.breachEW)
 	return breached
 }
 
@@ -237,7 +209,7 @@ func (d *driftDetector) snapshot() []APHealth {
 			Health:   d.health(id),
 			Score:    st.scoreEWMA,
 			Bursts:   st.bursts,
-			Warmed:   st.bursts > d.cfg.Warmup,
+			Warmed:   st.bursts > driftWarmup,
 			Metrics:  make(map[string]MetricState, len(st.baselines)),
 			LastSeen: st.lastSeen,
 		}

@@ -20,7 +20,7 @@ func apScore(id int, resid, sto, margin, score float64) APScore {
 }
 
 func TestDriftStableBaselineNoBreaches(t *testing.T) {
-	d := newDriftDetector(DriftConfig{})
+	d := newDriftDetector()
 	now := time.Unix(0, 0)
 	for i := 0; i < 100; i++ {
 		// Mild deterministic wobble around a stable operating point.
@@ -36,7 +36,7 @@ func TestDriftStableBaselineNoBreaches(t *testing.T) {
 }
 
 func TestDriftStepChangeBreaches(t *testing.T) {
-	d := newDriftDetector(DriftConfig{})
+	d := newDriftDetector()
 	now := time.Unix(0, 0)
 	for i := 0; i < 50; i++ {
 		wob := 0.001 * math.Sin(float64(i))
@@ -63,10 +63,10 @@ func TestDriftStepChangeBreaches(t *testing.T) {
 }
 
 func TestDriftWarmupSuppressesBreaches(t *testing.T) {
-	d := newDriftDetector(DriftConfig{Warmup: 5})
+	d := newDriftDetector()
 	now := time.Unix(0, 0)
 	// Wildly varying values inside the warmup window must not breach.
-	for i := 0; i < 5; i++ {
+	for i := 0; i < driftWarmup; i++ {
 		if n := d.observe(apScore(1, float64(i)*0.3, float64(i*50), 0.1*float64(i), 0.5), now); n != 0 {
 			t.Fatalf("breach during warmup burst %d", i)
 		}
@@ -77,7 +77,7 @@ func TestDriftChronicallyBadAPHasLowHealth(t *testing.T) {
 	// An AP that is bad from burst one never breaches its own (bad)
 	// baseline — health must still be low because it folds in the
 	// absolute per-AP confidence score.
-	d := newDriftDetector(DriftConfig{})
+	d := newDriftDetector()
 	now := time.Unix(0, 0)
 	for i := 0; i < 50; i++ {
 		d.observe(apScore(1, 0.4, 40, 0.1, 0.05), now)
@@ -89,14 +89,14 @@ func TestDriftChronicallyBadAPHasLowHealth(t *testing.T) {
 }
 
 func TestDriftUnknownAPHealthy(t *testing.T) {
-	d := newDriftDetector(DriftConfig{})
+	d := newDriftDetector()
 	if h := d.health(99); h != 1 {
 		t.Fatalf("unknown AP health = %.3f, want 1", h)
 	}
 }
 
 func TestDriftNaNObservableSkipped(t *testing.T) {
-	d := newDriftDetector(DriftConfig{})
+	d := newDriftDetector()
 	now := time.Unix(0, 0)
 	ap := apScore(1, 0.02, math.NaN(), 0.8, 0.85) // sanitize disabled
 	for i := 0; i < 20; i++ {
@@ -112,7 +112,7 @@ func TestDriftNaNObservableSkipped(t *testing.T) {
 }
 
 func TestDriftSnapshotSorted(t *testing.T) {
-	d := newDriftDetector(DriftConfig{})
+	d := newDriftDetector()
 	now := time.Unix(0, 0)
 	for _, id := range []int{7, 2, 5} {
 		d.observe(apScore(id, 0.02, 40, 0.8, 0.85), now)

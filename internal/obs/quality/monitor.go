@@ -19,8 +19,9 @@ var ScoreBuckets = []float64{
 // as low-quality.
 const DefaultFloor = 0.25
 
-// defaultRecent is the default capacity of the recent-bursts ring.
-const defaultRecent = 512
+// recentBursts is the capacity of the recent-bursts ring backing the
+// scoreboard.
+const recentBursts = 512
 
 // Config configures a Monitor. The zero value selects all defaults.
 type Config struct {
@@ -28,9 +29,6 @@ type Config struct {
 	// spotfi_quality_low_total. 0 selects DefaultFloor; negative disables
 	// the low counter.
 	Floor float64
-	// Recent is the capacity of the recent-bursts ring backing the
-	// scoreboard (default 512).
-	Recent int
 	// OnBurst, when non-nil, receives every scored burst right after it is
 	// folded into the monitor — the hook feeding per-AP instantaneous
 	// scores to circuit breakers. Called outside the monitor lock, on the
@@ -73,15 +71,12 @@ func NewMonitor(reg *obs.Registry, cfg Config) *Monitor {
 	if cfg.Floor == 0 {
 		cfg.Floor = DefaultFloor
 	}
-	if cfg.Recent <= 0 {
-		cfg.Recent = defaultRecent
-	}
 	m := &Monitor{
 		cfg:    cfg,
 		reg:    reg,
 		now:    time.Now,
-		drift:  newDriftDetector(DriftConfig{}),
-		ring:   make([]BurstRecord, 0, cfg.Recent),
+		drift:  newDriftDetector(),
+		ring:   make([]BurstRecord, 0, recentBursts),
 		gauges: make(map[int]bool),
 	}
 	if reg != nil {

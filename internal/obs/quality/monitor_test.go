@@ -79,16 +79,18 @@ func TestMonitorNilRegistry(t *testing.T) {
 }
 
 func TestMonitorRingWraps(t *testing.T) {
-	m := NewMonitor(nil, Config{Recent: 4})
-	for i := 0; i < 10; i++ {
-		m.Observe(scored(float64(i) / 10))
+	m := NewMonitor(nil, Config{})
+	const n = recentBursts + 6
+	for i := 0; i < n; i++ {
+		m.Observe(scored(float64(i) / n))
 	}
 	snap := m.Snapshot()
-	if len(snap.Recent) != 4 {
-		t.Fatalf("ring = %d entries, want 4", len(snap.Recent))
+	if len(snap.Recent) != recentBursts {
+		t.Fatalf("ring = %d entries, want %d", len(snap.Recent), recentBursts)
 	}
-	if snap.Recent[0].Overall != 0.9 || snap.Recent[3].Overall != 0.6 {
-		t.Fatalf("ring order wrong: %+v", snap.Recent)
+	newest, oldest := snap.Recent[0].Overall, snap.Recent[recentBursts-1].Overall
+	if newest != float64(n-1)/n || oldest != float64(6)/n {
+		t.Fatalf("ring order wrong: newest %v, oldest %v", newest, oldest)
 	}
 }
 

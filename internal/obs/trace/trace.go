@@ -71,10 +71,9 @@ type Config struct {
 	SampleEvery int
 	// Capacity bounds the ring of recent completed traces (default 64).
 	Capacity int
-	// SlowCapacity bounds the slow-trace ring (default 32).
-	SlowCapacity int
 	// SlowThreshold marks a completed trace as slow when its duration
-	// reaches it; slow traces go to the dedicated ring and are logged.
+	// reaches it; slow traces go to the dedicated ring (which keeps the
+	// last 32) and are logged.
 	// Zero disables slow retention.
 	SlowThreshold time.Duration
 	// Registry, when non-nil, receives per-span latency histograms and
@@ -83,6 +82,9 @@ type Config struct {
 	// Logger, when non-nil, receives a structured record per slow trace.
 	Logger *slog.Logger
 }
+
+// slowCapacity bounds the slow-trace ring.
+const slowCapacity = 32
 
 // Tracer samples bursts and collects their completed traces. A nil Tracer
 // is valid and never samples.
@@ -115,15 +117,12 @@ func New(cfg Config) *Tracer {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = 64
 	}
-	if cfg.SlowCapacity <= 0 {
-		cfg.SlowCapacity = 32
-	}
 	t := &Tracer{
 		every:      uint64(max(cfg.SampleEvery, 0)),
 		slowThresh: cfg.SlowThreshold,
 		logger:     cfg.Logger,
 		recent:     ring{buf: make([]TraceData, 0, cfg.Capacity), cap: cfg.Capacity},
-		slow:       ring{buf: make([]TraceData, 0, cfg.SlowCapacity), cap: cfg.SlowCapacity},
+		slow:       ring{buf: make([]TraceData, 0, slowCapacity), cap: slowCapacity},
 	}
 	if r := cfg.Registry; r != nil {
 		t.started = r.Counter("spotfi_traces_started_total", "Bursts the tracer sampled in.", nil)

@@ -115,7 +115,7 @@ func TestSampling(t *testing.T) {
 }
 
 func TestSlowRetention(t *testing.T) {
-	tracer := New(Config{SampleEvery: 1, Capacity: 2, SlowCapacity: 4, SlowThreshold: 100 * time.Millisecond})
+	tracer := New(Config{SampleEvery: 1, Capacity: 2, SlowThreshold: 100 * time.Millisecond})
 	slow := tracer.StartAt(StageBurst, time.Now().Add(-time.Second))
 	slowID := slow.ID()
 	slow.Finish()

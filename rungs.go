@@ -21,12 +21,12 @@ func BuildLadder(base Config, aps []AP, modes int) ([]*Localizer, error) {
 		},
 		func(c Config) Config {
 			c.ModeLabel = admit.ModeFastPath.String()
-			c.FastPath.Enabled = true
+			c.FastPath = true
 			return c
 		},
 		func(c Config) Config {
 			c.ModeLabel = admit.ModeCoarse.String()
-			c.FastPath.Enabled = true
+			c.FastPath = true
 			// On top of the fast path, the MUSIC fallback sweeps a grid
 			// with twice the AoA and ToF steps: about 4× fewer cells per
 			// hard burst.

@@ -30,7 +30,7 @@ import (
 	"sync"
 	"time"
 
-	"spotfi/internal/calib"
+	"spotfi/internal/cluster"
 	"spotfi/internal/csi"
 	"spotfi/internal/dpath"
 	"spotfi/internal/geom"
@@ -49,8 +49,6 @@ import (
 type (
 	// Packet is one CSI report from an AP (CSI matrix + RSSI + metadata).
 	Packet = csi.Packet
-	// CalibrationOffsets are per-antenna phase corrections for one AP.
-	CalibrationOffsets = calib.Offsets
 	// CSIMatrix is the per-antenna per-subcarrier channel matrix.
 	CSIMatrix = csi.Matrix
 	// PathEstimate is one super-resolution (AoA, ToF) estimate.
@@ -87,7 +85,7 @@ const (
 	// EstimatorMUSIC is the paper's 2-D grid MUSIC.
 	EstimatorMUSIC EstimatorKind = iota
 	// EstimatorESPRIT is the search-free AoA estimator the fast path
-	// tries first (FastPathConfig).
+	// tries first (Config.FastPath).
 	EstimatorESPRIT
 )
 
@@ -102,52 +100,20 @@ func (k EstimatorKind) String() string {
 	}
 }
 
-// SelectionScheme picks the direct path among clustered candidates.
-type SelectionScheme int
-
-// Selection schemes (paper Sec. 4.4.2).
-const (
-	// SelectLikelihood is SpotFi's Eq. 8 maximum-likelihood selection.
-	SelectLikelihood SelectionScheme = iota
-	// SelectMinToF is the LTEye rule: smallest mean ToF.
-	SelectMinToF
-	// SelectMaxPower is the CUPID rule: strongest MUSIC spectrum peak.
-	SelectMaxPower
-)
-
-func (s SelectionScheme) String() string {
-	switch s {
-	case SelectLikelihood:
-		return "spotfi"
-	case SelectMinToF:
-		return "min-tof"
-	case SelectMaxPower:
-		return "max-power"
-	default:
-		return "unknown"
-	}
-}
-
 // Config configures a Localizer.
 type Config struct {
 	// Music configures the super-resolution estimator.
 	Music music.Params
-	// DPath configures clustering and the Eq. 8 likelihood.
-	DPath dpath.Config
+	// Cluster configures the (AoA, ToF) clustering that feeds Eq. 8.
+	Cluster cluster.Config
 	// Locate configures the Eq. 9 solver.
 	Locate locate.Config
-	// Selection picks the direct-path rule (default SpotFi likelihood).
-	Selection SelectionScheme
 	// Sanitize toggles Algorithm 1 (default on; off only for ablation).
 	Sanitize bool
 	// Workers bounds pipeline parallelism; 0 means GOMAXPROCS.
 	Workers int
 	// Seed makes clustering deterministic.
 	Seed int64
-	// Calibration holds per-AP antenna phase corrections (from
-	// calib.Estimate against a known-position beacon), applied to every
-	// packet before estimation. APs without an entry are used as-is.
-	Calibration map[int]calib.Offsets
 	// Metrics, when non-nil, receives per-stage timings and failure
 	// counts for every burst processed (see NewPipelineMetrics).
 	Metrics *PipelineMetrics
@@ -160,9 +126,15 @@ type Config struct {
 	// and the /debug/quality scoreboard (see quality.NewMonitor). Nil
 	// records nothing.
 	QualityMonitor *quality.Monitor
-	// FastPath gates the ESPRIT-first estimation fast path. Disabled by
-	// default.
-	FastPath FastPathConfig
+	// FastPath turns on the ESPRIT-first estimation fast path: the burst
+	// is first run through the search-free ESPRIT AoA estimator (~100×
+	// cheaper than the 2-D MUSIC sweep) and its result is accepted only
+	// when the burst looks easy on both of the pipeline's confidence
+	// components — the signal/noise eigen-subspace gap and the Eq. 8
+	// likelihood margin. Any burst failing either gate is re-estimated
+	// with full MUSIC, so the fast path trades no accuracy in the hard
+	// cases it cannot judge. Off by default.
+	FastPath bool
 	// ModeLabel names this Localizer's rung on the server's degradation
 	// ladder (e.g. "full", "fastpath", "coarse"). When non-empty it is
 	// stamped on every Location.Mode and on the burst trace root, so each
@@ -171,27 +143,12 @@ type Config struct {
 	ModeLabel string
 }
 
-// FastPathConfig configures the ESPRIT-first fast path: the burst is first
-// run through the search-free ESPRIT AoA estimator (~100× cheaper than the
-// 2-D MUSIC sweep) and its result is accepted only when the burst looks
-// easy on both of the pipeline's confidence components — the signal/noise
-// eigen-subspace gap and the Eq. 8 likelihood margin. Any burst failing
-// either gate is re-estimated with full MUSIC, so the fast path trades no
-// accuracy in the hard cases it cannot judge.
-type FastPathConfig struct {
-	// Enabled turns the fast path on.
-	Enabled bool
-	// MinEigenGapDB is the minimum burst-mean signal/noise eigenvalue gap
-	// (dB) for the ESPRIT result to be trusted; 0 means the default 10.
-	MinEigenGapDB float64
-	// MinMargin is the minimum Eq. 8 top-two likelihood margin ∈ [0,1];
-	// 0 means the default 0.5.
-	MinMargin float64
-}
-
+// The fast path's confidence gates: an ESPRIT result is kept only when
+// its burst-mean signal/noise eigenvalue gap reaches fastPathMinEigenGapDB
+// and its Eq. 8 top-two likelihood margin reaches fastPathMinMargin.
 const (
-	defaultFastPathMinEigenGapDB = 10
-	defaultFastPathMinMargin     = 0.5
+	fastPathMinEigenGapDB = 10
+	fastPathMinMargin     = 0.5
 )
 
 // PipelineMetrics instruments the Localizer: per-stage latency histograms
@@ -208,8 +165,8 @@ type PipelineMetrics struct {
 	ClusterSeconds  *obs.Histogram
 	LocateSeconds   *obs.Histogram
 	// PacketsProcessed counts packets that survived stage 1;
-	// PacketFailures counts packets dropped by calibration, sanitization,
-	// or estimation errors.
+	// PacketFailures counts packets dropped by sanitization or estimation
+	// errors.
 	PacketsProcessed *obs.Counter
 	PacketFailures   *obs.Counter
 	// BurstsProcessed and BurstFailures count ProcessBurstTraced outcomes.
@@ -245,7 +202,7 @@ func NewPipelineMetrics(r *obs.Registry) *PipelineMetrics {
 		ClusterSeconds:   stage("cluster"),
 		LocateSeconds:    stage("locate"),
 		PacketsProcessed: r.Counter("spotfi_packets_processed_total", "Packets that survived super-resolution estimation.", nil),
-		PacketFailures:   r.Counter("spotfi_packet_failures_total", "Packets dropped by calibration, sanitization, or estimation errors.", nil),
+		PacketFailures:   r.Counter("spotfi_packet_failures_total", "Packets dropped by sanitization or estimation errors.", nil),
 		BurstsProcessed:  r.Counter("spotfi_bursts_processed_total", "Per-AP bursts that produced a direct-path report.", nil),
 		BurstFailures:    r.Counter("spotfi_burst_failures_total", "Per-AP bursts that failed stages 1-2.", nil),
 		APsSkipped:       r.Counter("spotfi_aps_skipped_total", "APs excluded from localization because their burst failed.", nil),
@@ -271,18 +228,17 @@ func RegisterSteeringCacheMetrics(r *obs.Registry) {
 // DefaultConfig returns the paper's configuration over search bounds b.
 func DefaultConfig(b Bounds) Config {
 	cfg := Config{
-		Music:     music.DefaultParams(),
-		DPath:     dpath.DefaultConfig(),
-		Locate:    locate.DefaultConfig(b),
-		Selection: SelectLikelihood,
-		Sanitize:  true,
-		Seed:      1,
+		Music:    music.DefaultParams(),
+		Cluster:  cluster.DefaultConfig(),
+		Locate:   locate.DefaultConfig(b),
+		Sanitize: true,
+		Seed:     1,
 	}
 	// The paper clusters into 5 groups ("at best five significant paths");
 	// indoor environments with 6–8 resolvable paths benefit from a couple
 	// of extra clusters so distinct paths are not merged — see the
 	// cluster-count ablation bench.
-	cfg.DPath.Cluster.K = 7
+	cfg.Cluster.K = 7
 	return cfg
 }
 
@@ -339,13 +295,7 @@ func New(cfg Config, aps []AP) (*Localizer, error) {
 		return nil, err
 	}
 	var esprit *music.ESPRIT
-	if cfg.FastPath.Enabled {
-		if cfg.FastPath.MinEigenGapDB == 0 {
-			cfg.FastPath.MinEigenGapDB = defaultFastPathMinEigenGapDB
-		}
-		if cfg.FastPath.MinMargin == 0 {
-			cfg.FastPath.MinMargin = defaultFastPathMinMargin
-		}
+	if cfg.FastPath {
 		maxPaths := cfg.Music.MaxPaths
 		if lim := cfg.Music.Array.Antennas - 1; maxPaths > lim {
 			maxPaths = lim
@@ -395,15 +345,6 @@ func New(cfg Config, aps []AP) (*Localizer, error) {
 	return l, nil
 }
 
-// APs returns the registered access points.
-func (l *Localizer) APs() []AP {
-	out := make([]AP, 0, len(l.aps))
-	for _, ap := range l.aps {
-		out = append(out, ap)
-	}
-	return out
-}
-
 // estimateMUSIC draws a pooled estimator, runs one packet through it,
 // and returns the estimator with a defer — so a panicking estimate
 // (poisoned input tripping an internal invariant) does not silently
@@ -423,12 +364,12 @@ func (l *Localizer) estimateMUSIC(work *CSIMatrix) ([]PathEstimate, music.Diag, 
 // spans and DSP attributes under parent. A nil parent (tracing disabled
 // or the burst sampled out) adds no allocations to the hot path.
 //
-// The burst runs in three stages: prep (clone, calibrate, sanitize — once,
-// shared by every estimation attempt), estimate (per-packet
-// super-resolution in parallel), and cluster/select. When the ESPRIT fast
+// The burst runs in three stages: prep (clone, sanitize — once, shared
+// by every estimation attempt), estimate (per-packet super-resolution in
+// parallel), and cluster/select. When the ESPRIT fast
 // path is enabled, the estimate+cluster stages first run with ESPRIT and
-// the result is kept only if it clears the FastPathConfig confidence
-// gates; otherwise the same prepped packets are re-estimated with MUSIC.
+// the result is kept only if it clears the fast-path confidence gates;
+// otherwise the same prepped packets are re-estimated with MUSIC.
 func (l *Localizer) ProcessBurstTraced(apID int, pkts []*Packet, parent *trace.Span) (*APReport, error) {
 	if _, ok := l.aps[apID]; !ok {
 		return nil, fmt.Errorf("spotfi: unknown AP %d", apID)
@@ -446,11 +387,11 @@ func (l *Localizer) ProcessBurstTraced(apID int, pkts []*Packet, parent *trace.S
 		rssiSum += p.RSSIdBm
 	}
 
-	works, prepErrs, stoNs := l.prepBurst(apID, pkts, apSpan)
+	works, prepErrs, stoNs := l.prepBurst(pkts, apSpan)
 
 	if l.esprit != nil {
 		rep, err := l.estimateAndCluster(apID, pkts, works, prepErrs, stoNs, rssiSum, apSpan, EstimatorESPRIT)
-		if err == nil && rep.EigenGapDB >= l.cfg.FastPath.MinEigenGapDB && rep.Margin >= l.cfg.FastPath.MinMargin {
+		if err == nil && rep.EigenGapDB >= fastPathMinEigenGapDB && rep.Margin >= fastPathMinMargin {
 			apSpan.SetStr("estimator", EstimatorESPRIT.String())
 			apSpan.SetInt("fast_path", 1)
 			l.cfg.Metrics.FastPathAccepted.Inc()
@@ -470,13 +411,12 @@ func (l *Localizer) ProcessBurstTraced(apID int, pkts []*Packet, parent *trace.S
 	return rep, nil
 }
 
-// prepBurst runs the per-packet preparation stage — clone, per-AP
-// calibration, Algorithm 1 sanitization — in parallel. It returns the
-// prepared CSI (nil where prep failed), the per-packet errors, and the
-// sanitization slopes in ns (NaN where unavailable). The prepared matrices
-// are estimator-independent, so a fast-path fallback reuses them instead
-// of sanitizing twice.
-func (l *Localizer) prepBurst(apID int, pkts []*Packet, apSpan *trace.Span) ([]*CSIMatrix, []error, []float64) {
+// prepBurst runs the per-packet preparation stage — clone and Algorithm 1
+// sanitization — in parallel. It returns the prepared CSI (nil where prep
+// failed), the per-packet errors, and the sanitization slopes in ns (NaN
+// where unavailable). The prepared matrices are estimator-independent, so
+// a fast-path fallback reuses them instead of sanitizing twice.
+func (l *Localizer) prepBurst(pkts []*Packet, apSpan *trace.Span) ([]*CSIMatrix, []error, []float64) {
 	works := make([]*CSIMatrix, len(pkts))
 	errs := make([]error, len(pkts))
 	stoNs := make([]float64, len(pkts))
@@ -492,12 +432,6 @@ func (l *Localizer) prepBurst(apID int, pkts []*Packet, apSpan *trace.Span) ([]*
 			defer wg.Done()
 			defer func() { <-sem }()
 			work := p.CSI.Clone()
-			if off, ok := l.cfg.Calibration[apID]; ok {
-				if err := calib.Apply(work, off); err != nil {
-					errs[i] = err
-					return
-				}
-			}
 			if l.cfg.Sanitize {
 				ssp := apSpan.StartSpan(trace.StageSanitize)
 				start := time.Now()
@@ -594,7 +528,7 @@ func (l *Localizer) estimateAndCluster(apID int, pkts []*Packet, works []*CSIMat
 	seed := int64(uint64(l.cfg.Seed)^uint64(apID+1)*0x9E3779B97F4A7C15^(pkts[0].Seq+1)*0xBF58476D1CE4E5B9^uint64(len(pkts))) & 0x7FFFFFFFFFFFFFFF
 	csp := apSpan.StartSpan(trace.StageCluster)
 	start := time.Now()
-	res, err := dpath.Identify(perPacket, l.cfg.DPath, rand.New(rand.NewSource(seed)))
+	res, err := dpath.Identify(perPacket, l.cfg.Cluster, rand.New(rand.NewSource(seed)))
 	l.cfg.Metrics.ClusterSeconds.ObserveSince(start)
 	if err != nil {
 		csp.End()
@@ -612,18 +546,8 @@ func (l *Localizer) estimateAndCluster(apID int, pkts []*Packet, works []*CSIMat
 			ls[i] = c.Likelihood
 		}
 		sel.SetFloats("likelihoods", ls)
-		sel.SetStr("scheme", l.cfg.Selection.String())
 	}
-	var cand Candidate
-	var ok bool
-	switch l.cfg.Selection {
-	case SelectMinToF:
-		cand, ok = res.MinToF()
-	case SelectMaxPower:
-		cand, ok = res.MaxPower()
-	default:
-		cand, ok = res.Best()
-	}
+	cand, ok := res.Best()
 	if !ok {
 		return nil, fmt.Errorf("spotfi: no direct-path candidate for AP %d", apID)
 	}
@@ -698,14 +622,6 @@ type Location struct {
 	// this fix (Config.ModeLabel; empty when unset) — under overload the
 	// server steps down to cheaper estimators, and the fix says so.
 	Mode string
-}
-
-// LocateTraced fuses per-AP reports into a location estimate (stage 3,
-// Eq. 9), recording a solver span (iterations, objective, solution) under
-// parent. A nil parent is free.
-func (l *Localizer) LocateTraced(reports []*APReport, parent *trace.Span) (Point, error) {
-	res, err := l.locateFull(reports, parent)
-	return res.Location, err
 }
 
 // locateFull runs stage 3 and returns the full solver result (objective,
@@ -830,10 +746,4 @@ func (l *Localizer) LocalizeBurstsTraced(bursts map[int][]*Packet, tr *trace.Tra
 		Quality:    sc.Breakdown,
 		Mode:       l.cfg.ModeLabel,
 	}, reports, skipped, nil
-}
-
-// GroundTruthAoA returns the AoA that AP would observe for a target at p —
-// the quantity evaluation compares estimates against.
-func GroundTruthAoA(ap AP, p Point) float64 {
-	return math.Asin(math.Sin(geom.NormalizeAngle(p.Sub(ap.Pos).Angle() - ap.NormalAngle)))
 }

@@ -50,7 +50,7 @@ func TestFastPathCountersPartition(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg := DefaultConfig(d.Bounds)
 	cfg.Workers = 2
-	cfg.FastPath = FastPathConfig{Enabled: true}
+	cfg.FastPath = true
 	cfg.Metrics = NewPipelineMetrics(reg)
 	loc, err := New(cfg, deploymentAPs(d))
 	if err != nil {
@@ -111,57 +111,53 @@ func TestFastPathCountersPartition(t *testing.T) {
 	}
 }
 
-// TestFastPathImpossibleGatesMatchesDisabled forces every burst through
-// the fallback (gates no real burst can clear) and checks the reports are
-// bitwise identical to a fast-path-disabled run: the fallback re-estimates
-// from the same prepped CSI, so trying ESPRIT first must not perturb the
-// MUSIC result.
-func TestFastPathImpossibleGatesMatchesDisabled(t *testing.T) {
+// TestFastPathFallbackMatchesDisabled checks that a burst the fast path
+// hands back to MUSIC gets bitwise the report a fast-path-disabled
+// localizer gives it: the fallback re-estimates from the same prepped CSI,
+// so trying ESPRIT first must not perturb the MUSIC result. Target 8 of
+// this deployment fails the gates on some APs and clears them on others.
+func TestFastPathFallbackMatchesDisabled(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pipeline run")
 	}
 	d := testbed.Office(11)
-	bursts := officeBursts(t, d, 2, 6)
+	bursts := officeBursts(t, d, 8, 6)
 
-	mkLoc := func(fp FastPathConfig, reg *obs.Registry) (*Localizer, *PipelineMetrics) {
+	mkLoc := func(fastPath bool) (*Localizer, *PipelineMetrics) {
 		cfg := DefaultConfig(d.Bounds)
 		cfg.Workers = 2
-		cfg.FastPath = fp
-		var m *PipelineMetrics
-		if reg != nil {
-			m = NewPipelineMetrics(reg)
-			cfg.Metrics = m
-		}
+		cfg.FastPath = fastPath
+		cfg.Metrics = NewPipelineMetrics(obs.NewRegistry())
 		loc, err := New(cfg, deploymentAPs(d))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return loc, m
+		return loc, cfg.Metrics
 	}
+	fast, m := mkLoc(true)
+	plain, _ := mkLoc(false)
 
-	reg := obs.NewRegistry()
-	forced, m := mkLoc(FastPathConfig{Enabled: true, MinEigenGapDB: 1e9, MinMargin: 1e9}, reg)
-	plain, _ := mkLoc(FastPathConfig{}, nil)
-
-	pForced, rForced, _, err := forced.LocalizeBursts(bursts)
-	if err != nil {
-		t.Fatal(err)
+	fallbacks := 0
+	for a := range d.APs {
+		before := m.FastPathFallbacks.Value()
+		rFast, err := fast.ProcessBurstTraced(a, bursts[a], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.FastPathFallbacks.Value() == before {
+			continue
+		}
+		fallbacks++
+		rPlain, err := plain.ProcessBurstTraced(a, bursts[a], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rFast, rPlain) {
+			t.Fatalf("AP %d: fallback report differs from the fast-path-disabled report", a)
+		}
 	}
-	pPlain, rPlain, _, err := plain.LocalizeBursts(bursts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.FastPathAccepted.Value() != 0 {
-		t.Fatalf("impossible gates accepted %d bursts", m.FastPathAccepted.Value())
-	}
-	if got := m.FastPathFallbacks.Value(); got != uint64(len(bursts)) {
-		t.Fatalf("fallbacks = %d, want %d", got, len(bursts))
-	}
-	if pForced != pPlain {
-		t.Fatalf("forced-fallback location %v differs from disabled %v", pForced, pPlain)
-	}
-	if !reflect.DeepEqual(rForced, rPlain) {
-		t.Fatal("forced-fallback reports differ from fast-path-disabled reports")
+	if fallbacks == 0 {
+		t.Fatal("no burst fell back to MUSIC, so nothing was compared")
 	}
 }
 
@@ -176,7 +172,7 @@ func TestFastPathDeterministic(t *testing.T) {
 	run := func() (Location, []*APReport) {
 		cfg := DefaultConfig(d.Bounds)
 		cfg.Workers = 2
-		cfg.FastPath = FastPathConfig{Enabled: true}
+		cfg.FastPath = true
 		loc, err := New(cfg, deploymentAPs(d))
 		if err != nil {
 			t.Fatal(err)

@@ -2,11 +2,9 @@ package spotfi
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"spotfi/internal/csi"
-	"spotfi/internal/sim"
 	"spotfi/internal/testbed"
 )
 
@@ -25,28 +23,13 @@ func officeLocalizer(t *testing.T, mutate func(*Config)) (*testbed.Deployment, *
 	return d, loc
 }
 
-func TestAPsAccessor(t *testing.T) {
-	_, loc := officeLocalizer(t, nil)
-	aps := loc.APs()
-	if len(aps) != 6 {
-		t.Fatalf("APs() returned %d", len(aps))
-	}
-	seen := map[int]bool{}
-	for _, ap := range aps {
-		if seen[ap.ID] {
-			t.Fatalf("duplicate AP %d", ap.ID)
-		}
-		seen[ap.ID] = true
-	}
-}
-
 func TestLocateRejectsUnknownAPReport(t *testing.T) {
 	_, loc := officeLocalizer(t, nil)
 	reports := []*APReport{
 		{APID: 0, AoA: 0, Likelihood: 1, MeanRSSIdBm: -50},
 		{APID: 99, AoA: 0, Likelihood: 1, MeanRSSIdBm: -50},
 	}
-	if _, err := loc.LocateTraced(reports, nil); err == nil {
+	if _, err := loc.locateFull(reports, nil); err == nil {
 		t.Fatal("unknown AP in report accepted")
 	}
 }
@@ -143,51 +126,6 @@ func TestProcessBurstAllFailures(t *testing.T) {
 	}
 }
 
-func TestSelectionSchemesDiffer(t *testing.T) {
-	if testing.Short() {
-		t.Skip("pipeline run")
-	}
-	d := testbed.Office(11)
-	burst, err := d.Burst(0, 2, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results := map[SelectionScheme]*APReport{}
-	for _, scheme := range []SelectionScheme{SelectLikelihood, SelectMinToF, SelectMaxPower} {
-		_, loc := officeLocalizer(t, func(c *Config) { c.Selection = scheme })
-		rep, err := loc.ProcessBurstTraced(0, burst, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		results[scheme] = rep
-	}
-	// All schemes choose from the same candidate set.
-	if len(results[SelectLikelihood].Candidates) == 0 {
-		t.Fatal("no candidates")
-	}
-	// MinToF must return the candidate with the smallest ToF among those
-	// reported by the likelihood run (same clustering seed).
-	minToF := math.Inf(1)
-	for _, c := range results[SelectLikelihood].Candidates {
-		minToF = math.Min(minToF, c.ToF)
-	}
-	chosen := results[SelectMinToF]
-	var chosenToF float64
-	found := false
-	for _, c := range chosen.Candidates {
-		if c.AoA == chosen.AoA {
-			chosenToF = c.ToF
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("selected AoA not among candidates")
-	}
-	if math.Abs(chosenToF-minToF) > 1e-15 {
-		t.Fatalf("min-ToF selection chose ToF %v, min is %v", chosenToF, minToF)
-	}
-}
-
 func TestSanitizeDisabled(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pipeline run")
@@ -227,53 +165,4 @@ func TestLocalizerDeterministic(t *testing.T) {
 	if p1 != p2 {
 		t.Fatalf("same input, different estimates: %v vs %v", p1, p2)
 	}
-}
-
-func TestPipelineCalibration(t *testing.T) {
-	if testing.Short() {
-		t.Skip("pipeline run")
-	}
-	// A localizer configured with the AP's true offsets must select a more
-	// accurate direct-path AoA than an uncalibrated one on the same burst.
-	d := testbed.Office(11)
-	// Synthesize a burst with large known offsets so calibration has
-	// something to correct.
-	offsets := []float64{0, 0.5, -0.5}
-	imp := d.Imp
-	imp.AntennaPhaseOffsetsRad = offsets
-	syn, err := simNewSynth(d.Link(0, 0), d, imp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	burst := syn.Burst("cal-test", 8)
-
-	truth := d.GroundTruthAoA(0, 0)
-	run := func(withCal bool) float64 {
-		cfg := DefaultConfig(d.Bounds)
-		cfg.Workers = 2
-		if withCal {
-			cfg.Calibration = map[int]CalibrationOffsets{0: offsets}
-		}
-		loc, err := New(cfg, deploymentAPs(d))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := loc.ProcessBurstTraced(0, burst, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return math.Abs(rep.AoA - truth)
-	}
-	raw := run(false)
-	cal := run(true)
-	t.Logf("selection error: uncalibrated %.1f°, calibrated %.1f°", raw*180/math.Pi, cal*180/math.Pi)
-	if cal > raw+1e-9 {
-		t.Fatalf("calibration hurt: %.3f vs %.3f rad", cal, raw)
-	}
-}
-
-// simNewSynth builds a synthesizer for a testbed link with custom
-// impairments.
-func simNewSynth(link *sim.Link, d *testbed.Deployment, imp sim.Impairments) (*sim.Synthesizer, error) {
-	return sim.NewSynthesizer(link, d.Band, d.Array, imp, rand.New(rand.NewSource(77)))
 }

@@ -125,7 +125,7 @@ func TestLocalizerConstruction(t *testing.T) {
 		t.Fatal("invalid music params accepted")
 	}
 	badL := DefaultConfig(b)
-	badL.Locate.GridStepM = 0
+	badL.Locate.RSSIWeightDB2 = -1
 	if _, err := New(badL, aps); err == nil {
 		t.Fatal("invalid locate params accepted")
 	}
@@ -143,22 +143,5 @@ func TestProcessBurstErrors(t *testing.T) {
 	}
 	if _, err := loc.ProcessBurstTraced(0, nil, nil); err == nil {
 		t.Fatal("empty burst accepted")
-	}
-}
-
-func TestSelectionSchemeString(t *testing.T) {
-	if SelectLikelihood.String() != "spotfi" || SelectMinToF.String() != "min-tof" ||
-		SelectMaxPower.String() != "max-power" || SelectionScheme(99).String() != "unknown" {
-		t.Fatal("SelectionScheme.String mismatch")
-	}
-}
-
-func TestGroundTruthAoABroadside(t *testing.T) {
-	ap := AP{Pos: Point{X: 0, Y: 0}, NormalAngle: 0}
-	if aoa := GroundTruthAoA(ap, Point{X: 5, Y: 0}); math.Abs(aoa) > 1e-12 {
-		t.Fatalf("broadside AoA = %v", aoa)
-	}
-	if aoa := GroundTruthAoA(ap, Point{X: 5, Y: 5}); math.Abs(aoa-math.Pi/4) > 1e-12 {
-		t.Fatalf("45° AoA = %v", aoa)
 	}
 }
